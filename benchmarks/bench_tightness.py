@@ -6,7 +6,7 @@ Measurement protocol (shared boxes swing CPU time by 25%+ between runs):
   one-time native-core compile) before anything is timed;
 * **CPU time, not wall time** -- the `_harness.timed` convention;
 * **interleaved A/B, best of rounds** -- each round times stream build,
-  next-use table, Belady replay (production backend), the pure-Python
+  next-use arrays, Belady replay (production backend), the pure-Python
   replay loop, and LRU back to back; per-component minima over rounds are
   the reported numbers, so a throttled round cannot fake a regression (or
   an improvement).
@@ -122,7 +122,7 @@ def bench_outofcore(
         tile_sizes=tiles, variable_order=order, chunk_positions=chunk,
     )
     stream = build.value
-    table = timed(stream.next_use_arrays)  # chunked two-pass next-use
+    table = timed(stream.next_use_arrays)  # slab next-use scan
     belady = timed(simulate_io, stream, s, slab_positions=chunk)
     lru = timed(simulate_io, stream, s, policy="lru", slab_positions=chunk)
     peak_rss = _peak_rss_bytes()
@@ -208,7 +208,7 @@ def bench_replay_scale(n: int, s: int, rounds: int = ROUNDS) -> dict:
                 tile_sizes=tiles, variable_order=order,
             )
             stream = build.value
-            table = timed(stream.next_use_table)
+            table = timed(stream.next_use_arrays)
             belady = timed(simulate_io, stream, s)
             traced = timed(belady_traced, trace_path)
             python = timed(_replay, stream, s, belady=True)
@@ -261,6 +261,7 @@ def bench_replay_scale(n: int, s: int, rounds: int = ROUNDS) -> dict:
         "ids": stream.n_ids,
         "replay_backend": "native" if native_replay_lib() else "python",
         "stream_build_cpu_seconds": best["build"],
+        # key name kept so committed BENCH_tightness.json stays comparable
         "next_use_table_cpu_seconds": best["table"],
         "bound": bound,
         "belady_gap": results["belady"].cost / bound,

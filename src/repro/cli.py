@@ -173,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tight.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
-        help="replay/stream-build chunk: bound peak memory to O(N) positions "
-        "per worker (default: automatic, whole-stream below ~8M accesses)",
+        help="replay slab: bound replay memory to O(N) positions per worker "
+        "(default: 2^20; next-use always scans 2^20-position slabs)",
     )
     p_tight.add_argument(
         "--bounds-engines", default=None, metavar="E1,E2,...",

@@ -6,7 +6,8 @@
   in-process cache deduplicates problem (8) instances *across* kernels (the
   suite's gemm-shaped contractions all resolve to a handful of signatures);
 * ``jobs > 1``: kernels are distributed over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; workers share solved
+  :class:`~concurrent.futures.ProcessPoolExecutor` of at most
+  ``os.cpu_count()`` workers; workers share solved
   problems through the on-disk cache tier when ``cache_dir`` is given.
   ``executor.map`` preserves input order, so results are deterministic and
   position-aligned with ``names`` either way.
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 from repro.engine.cache import SolveCache
 from repro.engine.core import Engine
 from repro.obs import attach, trace_context
+from repro.util.pool import pool_workers
 
 
 def _kernel_task(task: tuple):
@@ -102,5 +104,5 @@ def _run_parallel(
 ) -> list:
     tctx = trace_context()
     tasks = [(name, cache_dir, store_path, solver, tctx) for name in selected]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=pool_workers(jobs, len(tasks))) as pool:
         return list(pool.map(_kernel_task, tasks))

@@ -10,15 +10,18 @@ and measures it:
   iteration points recorded on the concrete CDAG (no per-kernel hand-coded
   vertex-to-point mapping);
 * :mod:`repro.schedule.stream` -- flat :class:`AccessStream` encodings of a
-  schedule's memory traffic, built from a CDAG or streamed directly from the
-  IR for million-vertex instances;
+  schedule's memory traffic, built from a CDAG, or by one chunked builder
+  straight from the IR for single-statement kernels up to 10^8 accesses;
+  next-use arrays come from one slab scan, memoized per stream;
 * :mod:`repro.schedule.simulator` -- a streaming I/O replay simulator
-  (Belady / LRU eviction over precomputed next-use indices) that reproduces
-  :func:`repro.pebbling.greedy.greedy_pebbling_cost` bit-for-bit while
-  scaling orders of magnitude further;
+  (Belady / LRU eviction over heap keys derived once from the next-use
+  arrays) that reproduces :func:`repro.pebbling.greedy.greedy_pebbling_cost`
+  bit-for-bit while scaling orders of magnitude further: a pure-Python
+  reference loop and a compiled fast path (:mod:`repro.schedule._native`);
 * :mod:`repro.schedule.tightness` -- the corpus-wide tightness audit:
   simulated I/O of the derived schedule vs. the evaluated lower bound,
-  reported as a gap per kernel and fast-memory size.
+  reported as a gap per kernel and fast-memory size, through one planner
+  and one row builder whether the replays run serially or in a pool.
 """
 
 from repro.schedule.derive import TiledSchedule, blocked_order, derive_schedule

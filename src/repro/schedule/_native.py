@@ -17,8 +17,8 @@ over one chunk of positions with slab-local arrays (offsets rebased to 0),
 ``replay_counts`` reads the running totals, and ``replay_free`` releases
 everything.  The simulator feeds chunk-sized slabs so the C core never
 needs the full stream resident -- one ctypes call per slab, state carried
-in the context.  The one-shot ``replay`` export is a thin wrapper over the
-same context machinery, kept for direct single-call use.
+in the context.  Both backends consume the same precomputed heap keys
+(:func:`repro.schedule.simulator._policy_keys_slab`).
 
 Set ``REPRO_NO_NATIVE_REPLAY=1`` to force the pure-Python path (used by the
 differential tests and benchmark A/B runs).
@@ -260,27 +260,6 @@ void replay_counts(void *ptr, i64 *out) {
     out[0] = c->loads; out[1] = c->stores; out[2] = c->evictions;
     out[3] = c->compactions;
 }
-
-/* One-shot wrapper over the slab machinery (kept for direct callers).
- * out: loads, stores, evictions, error id.  Returns 0 on success, -1 when
- * S is too small, -2 when a needed value is neither red nor blue, -3 on
- * allocation failure. */
-int replay(i64 n_positions, i64 m, i64 s, int belady,
-           const i64 *offsets, const i64 *parents, const i64 *computed,
-           const unsigned char *store_at, const unsigned char *starts_blue,
-           const i64 *access_keys, const i64 *compute_keys,
-           i64 dead_floor, i64 *out)
-{
-    ctx_t *c = (ctx_t *)replay_new(m, s, belady, starts_blue, dead_floor);
-    if (!c) return -3;
-    i64 err_id = -1;
-    int rc = replay_slab(c, n_positions, offsets, parents, computed,
-                         store_at, access_keys, compute_keys, &err_id);
-    out[0] = c->loads; out[1] = c->stores; out[2] = c->evictions;
-    out[3] = err_id;
-    replay_free(c);
-    return rc;
-}
 """
 
 _lib: ctypes.CDLL | None | bool = None  # None = not tried, False = unavailable
@@ -352,11 +331,6 @@ def _load(so_path: Path) -> ctypes.CDLL:
     i64 = ctypes.c_longlong
     p64 = ctypes.POINTER(i64)
     pu8 = ctypes.POINTER(ctypes.c_ubyte)
-    lib.replay.argtypes = [
-        i64, i64, i64, ctypes.c_int,
-        p64, p64, p64, pu8, pu8, p64, p64, i64, p64,
-    ]
-    lib.replay.restype = ctypes.c_int
     lib.replay_new.argtypes = [i64, i64, ctypes.c_int, pu8, i64]
     lib.replay_new.restype = ctypes.c_void_p
     lib.replay_slab.argtypes = [

@@ -14,9 +14,10 @@ the same stream.
 Why it scales where :class:`~repro.pebbling.game.PebbleGame` cannot: no
 per-vertex hashing of tuple labels, no move list, no legality replay.  Both
 policies run through one replay loop and one eviction core (:func:`_replay`)
-whose heap keys are *precomputed as whole numpy arrays* from the stream's
-memoized next-use table
-(:meth:`~repro.schedule.stream.AccessStream.next_use_table`):
+whose heap keys are *precomputed as numpy arrays* (:func:`_policy_keys_slab`)
+from the stream's memoized next-use arrays
+(:meth:`~repro.schedule.stream.AccessStream.next_use_arrays`) -- one key
+derivation shared by the Python loop and the native core:
 
 * Belady pushes ``-(next_use * n_ids + id)`` -- a min-heap of negatives
   pops the farthest next use, ties to the largest id, and an entry above
@@ -42,11 +43,7 @@ import numpy as np
 
 from repro.obs import NULL_SPAN
 from repro.obs import span as obs_span
-from repro.schedule.stream import (
-    AUTO_CHUNK_ACCESSES,
-    DEFAULT_CHUNK_POSITIONS,
-    AccessStream,
-)
+from repro.schedule.stream import DEFAULT_CHUNK_POSITIONS, AccessStream
 from repro.util.errors import PebblingError
 
 #: ``current_key`` sentinel for "not resident": Belady keys are <= 0 and
@@ -91,9 +88,9 @@ def simulate_io(
     implementation and the fallback, and differential tests assert the two
     agree bit for bit.  ``slab_positions`` bounds how many positions are
     converted and handed to the C core per call (default: the stream's own
-    chunk size, or :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`
-    for huge streams) -- the result is bit-identical whatever the slab
-    size, only peak memory changes.
+    chunk size, else :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`)
+    -- the result is bit-identical whatever the slab size, only peak memory
+    changes.
     """
     if s < 1:
         raise PebblingError("need at least one fast-memory slot")
@@ -140,10 +137,8 @@ def _native_replay(
     n = stream.n_positions
     m = stream.n_ids
     if slab_positions is None:
-        slab_positions = stream.chunk_positions
-        if slab_positions is None and stream.n_accesses > AUTO_CHUNK_ACCESSES:
-            slab_positions = DEFAULT_CHUNK_POSITIONS
-    slab = n if slab_positions is None else max(1, int(slab_positions))
+        slab_positions = stream.chunk_positions or DEFAULT_CHUNK_POSITIONS
+    slab = max(1, int(slab_positions))
     next_after, first_use = stream.next_use_arrays()
 
     i64p = ctypes.POINTER(ctypes.c_longlong)
@@ -159,7 +154,7 @@ def _native_replay(
         out = (ctypes.c_longlong * 4)(0, 0, 0, 0)
         prev_counts = (0, 0, 0, 0)
         offsets = stream.parent_offsets
-        for lo in range(0, n, slab) if n else ():
+        for lo in range(0, n, slab):
             hi = min(lo + slab, n)
             a_lo = int(offsets[lo])
             a_hi = int(offsets[hi])
@@ -241,12 +236,15 @@ def _policy_keys_slab(
     *,
     belady: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Heap keys for one slab: :func:`_policy_keys` restricted to
-    positions ``[lo, hi)`` / accesses ``[a_lo, a_hi)``, identical values.
+    """Heap keys for positions ``[lo, hi)`` / accesses ``[a_lo, a_hi)``.
 
-    ``parents`` / ``computed`` are the already-converted int64 slab
-    columns; clocks use global indices so the keys match the monolithic
-    computation bit for bit.
+    One key per access and one per computed vertex.  The key *is* the
+    priority snapshot the eviction core compares and the value stored in
+    ``current_key``; precomputing every key as a numpy expression keeps all
+    integer arithmetic out of the replay loop (the Python loop and the
+    native core consume them as-is).  ``parents`` / ``computed`` are the
+    int64 columns of the range; clocks use global indices, so the keys of a
+    slab equal the same slice of the whole-stream keys.
     """
     m = stream.n_ids
     na = np.asarray(next_after[a_lo:a_hi], dtype=np.int64)
@@ -258,6 +256,9 @@ def _policy_keys_slab(
         ckeys = -(fu * m + computed)
     else:
         inf = stream.n_positions
+        # The touch clock is deterministic: one tick per operand read (in
+        # stream order), one per compute -- so the stamp of every touch is
+        # known in advance.  The liveness bit rides along in the key.
         counts = np.diff(np.asarray(stream.parent_offsets[lo:hi + 1]))
         positions = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
         access_clock = np.arange(a_lo + 1, a_hi + 1, dtype=np.int64) + positions
@@ -271,41 +272,6 @@ def _policy_keys_slab(
     return np.ascontiguousarray(akeys), np.ascontiguousarray(ckeys)
 
 
-def _policy_keys(
-    stream: AccessStream, *, belady: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized heap keys: one per access, one per computed vertex.
-
-    The key *is* the priority snapshot the eviction core compares and the
-    value stored in ``current_key``; precomputing every key as a numpy
-    expression keeps all integer arithmetic out of the replay loop (both
-    the Python loop and the native core consume them as-is).
-    """
-    next_after, first_use, positions = stream.next_use_table()
-    # chunked streams narrow to int32: widen before the key arithmetic
-    next_after = np.asarray(next_after, dtype=np.int64)
-    pids = np.asarray(stream.parent_ids, dtype=np.int64)
-    computed = np.asarray(stream.computed_ids, dtype=np.int64)
-    m = stream.n_ids
-    if belady:
-        access_keys = -(next_after * m + pids)
-        compute_keys = -(np.asarray(first_use, dtype=np.int64)[computed] * m + computed)
-    else:
-        inf = stream.n_positions
-        # The touch clock is deterministic: one tick per operand read (in
-        # stream order), one per compute -- so the stamp of every touch is
-        # known in advance.  The liveness bit rides along in the key.
-        access_clock = np.arange(1, len(pids) + 1, dtype=np.int64) + positions
-        access_live = (next_after < inf).astype(np.int64)
-        access_keys = (access_clock * 2 + access_live) * m + pids
-        compute_clock = stream.parent_offsets[1:] + np.arange(
-            1, stream.n_positions + 1, dtype=np.int64
-        )
-        compute_live = (first_use[computed] < inf).astype(np.int64)
-        compute_keys = (compute_clock * 2 + compute_live) * m + computed
-    return access_keys, compute_keys
-
-
 def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
     """The shared replay core; ``belady`` selects the eviction priority.
 
@@ -316,7 +282,13 @@ def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
     """
     n_positions = stream.n_positions
     m = stream.n_ids
-    access_keys_arr, compute_keys_arr = _policy_keys(stream, belady=belady)
+    next_after, first_use = stream.next_use_arrays()
+    parents_arr = np.asarray(stream.parent_ids, dtype=np.int64)
+    computed_arr = np.asarray(stream.computed_ids, dtype=np.int64)
+    access_keys_arr, compute_keys_arr = _policy_keys_slab(
+        stream, next_after, first_use, 0, n_positions, 0, len(parents_arr),
+        parents_arr, computed_arr, belady=belady,
+    )
     access_keys = access_keys_arr.tolist()
     compute_keys = compute_keys_arr.tolist()
     counts_arr = np.diff(stream.parent_offsets)
@@ -327,8 +299,8 @@ def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
         counts = counts_arr.astype(np.uint8).tobytes()
     else:
         counts = counts_arr.tolist()
-    parents = stream.parent_ids.tolist()
-    computed = stream.computed_ids.tolist()
+    parents = parents_arr.tolist()
+    computed = computed_arr.tolist()
     store_flag = stream.store_at_compute.tobytes()
     dead_floor = -(n_positions * m)  # Belady: entries <= floor have nu == inf
 

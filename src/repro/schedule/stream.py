@@ -7,11 +7,12 @@ stream (:func:`repro.pebbling.greedy.stream_vertex_ids`), so the stream and
 the mutating :class:`~repro.pebbling.game.PebbleGame` path agree on eviction
 tie-breaks exactly.
 
-All stream fields are numpy ``int64``/``uint8`` arrays, and the expensive
-derived structure -- the *next-use table* consumed by Belady replay and
-write-back decisions -- is computed once per stream by a vectorized reverse
-scan (:meth:`AccessStream.next_use_table`) and memoized, so replaying the
-same stream under several policies or fast-memory sizes never recomputes it.
+All stream fields are numpy integer arrays, and the expensive derived
+structure -- the next-use arrays consumed by Belady replay and write-back
+decisions -- is computed once per stream by a reverse scan over fixed-size
+position slabs (:meth:`AccessStream.next_use_arrays`) and memoized, so
+replaying the same stream under several policies or fast-memory sizes never
+recomputes it.  Peak extra memory of the scan is O(slab + id space).
 
 Two builders:
 
@@ -19,27 +20,15 @@ Two builders:
   order; works for any program, costs one pass over the edges.
 * :func:`single_statement_stream` -- straight from the IR for
   single-statement self-update kernels (gemm, syrk, jacobi-style sweeps
-  collapse to this shape after versioning): no graph is ever materialized
-  and the whole stream is built by batched array ops -- the blocked order is
-  a single ``lexsort`` over tile coordinates, id assignment is one
-  first-appearance factorization of the flat key sequence, and legality of
-  the blocked order (each self-update chain must execute in program order)
-  is one grouped monotonicity check.  Million-vertex instances build in
-  well under a second of CPU time (``benchmarks/bench_tightness.py``).
-
-Out-of-core scale: beyond :data:`AUTO_CHUNK_POSITIONS` iteration points (or
-on request via ``chunk_positions=``) the IR-direct builder switches to a
-**chunked** mode that generates the blocked order tile-batch by tile-batch
-into preallocated struct-of-arrays (optionally ``numpy.memmap``-backed via
-``memmap_dir=``), carrying first-appearance id tables and per-element
-version-chain state across chunks so peak transient memory is O(chunk +
-key space), not O(stream).  The chunked and monolithic builders are pinned
-bit-identical -- every output array, not just replay counts -- by the
-differential tests.  The next-use table has the same two modes: one global
-reverse scan, or a chunked reverse scan over fixed-size position slabs
-(:meth:`AccessStream.next_use_arrays`) whose peak extra memory is
-O(chunk + id space).  Ids, positions, and offsets are stored in ``int32``
-whenever they fit, halving resident size at the 10^8-access scale.
+  collapse to this shape after versioning): no graph is ever materialized.
+  The blocked order is generated tile-batch by tile-batch into preallocated
+  struct-of-arrays columns (optionally ``numpy.memmap``-backed via
+  ``memmap_dir=``), carrying first-appearance id tables and per-element
+  version-chain state across chunks, so peak transient memory is
+  O(chunk + key space), not O(stream).  Differential tests pin it array by
+  array against :func:`stream_from_graph` on the materialized CDAG.  Ids,
+  positions, and offsets are stored in ``int32`` whenever they fit, halving
+  resident size at the 10^8-access scale.
 """
 
 from __future__ import annotations
@@ -57,12 +46,8 @@ from repro.obs import span as obs_span
 from repro.pebbling.greedy import default_order, stream_vertex_ids
 from repro.util.errors import PebblingError, SoapError
 
-#: default positions per chunk for the chunked builder / next-use scan
+#: default positions per chunk for the IR builder, next-use scan and replay
 DEFAULT_CHUNK_POSITIONS = 1 << 20
-#: grids larger than this auto-switch the IR-direct builder to chunked mode
-AUTO_CHUNK_POSITIONS = 1 << 22
-#: streams with more operand reads than this compute next-use chunked
-AUTO_CHUNK_ACCESSES = 1 << 23
 
 
 class ScheduleError(SoapError):
@@ -119,11 +104,9 @@ class AccessStream:
     starts_blue: np.ndarray  #: uint8 per id
     store_at_compute: np.ndarray  #: uint8 per position
     labels: list | None = None  #: id -> vertex label (None for IR-direct streams)
-    #: positions per chunk the chunked builder used (None for monolithic
-    #: streams); doubles as the default replay slab size
+    #: positions per chunk the IR builder used (None for graph streams);
+    #: doubles as the default replay slab size
     chunk_positions: int | None = None
-    #: memoized next-use table -- see :meth:`next_use_table`
-    _next_use_cache: tuple | None = field(default=None, repr=False)
     #: memoized ``(next_after, first_use)`` -- see :meth:`next_use_arrays`
     _next_use_pair: tuple | None = field(default=None, repr=False)
     #: keep-alive for memmap-backed arrays (the builder's :class:`_Arena`)
@@ -146,65 +129,25 @@ class AccessStream:
         * ``first_use[i]`` -- the first position reading id ``i``, or
           ``n_positions`` when the id is never read.
 
-        Two modes, identical output.  The monolithic mode is one stable
-        argsort grouping all accesses by id (positions ascending within a
-        group, since ids are read at most once per position): each access's
-        successor in its group is its next use.  The chunked mode -- picked
-        automatically above :data:`AUTO_CHUNK_ACCESSES` reads, for streams
-        the chunked builder produced, or on request -- is a reverse scan
-        over fixed-size position slabs with a carried ``last_seen[id]``
-        table: within a slab the same grouped argsort runs on slab-local
-        accesses, each id's last slab occurrence chains to ``last_seen``,
-        and after the full reverse sweep ``last_seen`` *is* the first-use
-        table.  Peak extra memory is O(chunk + id space), not O(stream).
-        Computed once and shared by every replay of this stream -- Belady
-        then LRU, or a whole sweep of ``S`` values.
+        A reverse scan over slabs of ``chunk_positions`` positions (default
+        :data:`DEFAULT_CHUNK_POSITIONS`) with a carried ``last_seen[id]``
+        table: within a slab one stable argsort groups the slab's accesses
+        by id (positions ascending within a group, since ids are read at
+        most once per position), so each access's successor in its group is
+        its next use; each id's last slab occurrence chains to
+        ``last_seen``, and after the full reverse sweep ``last_seen`` *is*
+        the first-use table.  Peak extra memory is O(slab + id space), not
+        O(stream).  Computed once and shared by every replay of this stream
+        -- Belady then LRU, or a whole sweep of ``S`` values.
         """
         if self._next_use_pair is None:
-            if chunk_positions is None:
-                chunk_positions = self.chunk_positions
-                if (
-                    chunk_positions is None
-                    and self.n_accesses > AUTO_CHUNK_ACCESSES
-                ):
-                    chunk_positions = DEFAULT_CHUNK_POSITIONS
-            with obs_span(
-                "next-use",
-                chunked=chunk_positions is not None,
-            ) as sp:
+            slab = max(1, int(chunk_positions or DEFAULT_CHUNK_POSITIONS))
+            with obs_span("next-use") as sp:
                 sp.add("accesses", self.n_accesses)
-                if chunk_positions is None:
-                    self._next_use_pair = self._next_use_monolithic()
-                else:
-                    self._next_use_pair = self._next_use_chunked(
-                        max(1, int(chunk_positions))
-                    )
+                self._next_use_pair = self._next_use_scan(slab)
         return self._next_use_pair
 
-    def _next_use_monolithic(self) -> tuple[np.ndarray, np.ndarray]:
-        inf = self.n_positions
-        pids = self.parent_ids
-        positions = np.repeat(
-            np.arange(self.n_positions, dtype=np.int64),
-            np.diff(self.parent_offsets),
-        )
-        order = np.argsort(pids, kind="stable")
-        sorted_ids = pids[order]
-        sorted_pos = positions[order]
-        same = sorted_ids[:-1] == sorted_ids[1:]
-        next_sorted = np.full(len(pids), inf, dtype=np.int64)
-        if len(pids):
-            next_sorted[:-1][same] = sorted_pos[1:][same]
-        next_after = np.empty_like(next_sorted)
-        next_after[order] = next_sorted
-        first_use = np.full(self.n_ids, inf, dtype=np.int64)
-        if len(pids):
-            head = np.ones(len(pids), dtype=bool)
-            head[1:] = ~same
-            first_use[sorted_ids[head]] = sorted_pos[head]
-        return next_after, first_use
-
-    def _next_use_chunked(
+    def _next_use_scan(
         self, chunk_positions: int
     ) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_positions
@@ -249,39 +192,6 @@ class AccessStream:
             out[order] = nxt
             next_after[a_lo:a_hi] = out
         return next_after, last_seen
-
-    def next_use_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(next_after, first_use, access_positions)`` -- memoized.
-
-        :meth:`next_use_arrays` plus ``access_positions[k]``, the position
-        whose vertex reads access ``k`` -- O(stream) extra memory, so the
-        out-of-core replay path consumes :meth:`next_use_arrays` directly
-        and derives slab-local positions on the fly.
-        """
-        if self._next_use_cache is None:
-            next_after, first_use = self.next_use_arrays()
-            positions = np.repeat(
-                np.arange(self.n_positions, dtype=np.int64),
-                np.diff(self.parent_offsets),
-            )
-            self._next_use_cache = (next_after, first_use, positions)
-        return self._next_use_cache
-
-    def uses_by_id(self) -> list[list[int]]:
-        """Use positions per id, ascending -- the legacy per-id view.
-
-        Kept as the reference the vectorized :meth:`next_use_table` is
-        pinned against in tests; replay itself consumes the flat table.
-        """
-        next_after, first_use, positions = self.next_use_table()
-        order = np.argsort(self.parent_ids, kind="stable")
-        sorted_ids = self.parent_ids[order]
-        sorted_pos = positions[order]
-        bounds = np.searchsorted(sorted_ids, np.arange(self.n_ids + 1))
-        return [
-            sorted_pos[bounds[i]:bounds[i + 1]].tolist()
-            for i in range(self.n_ids)
-        ]
 
 
 @obs_span("stream.build", builder="graph")
@@ -419,28 +329,6 @@ def _first_appearance_ids(
     return id_of_key[inverse], keys[order]
 
 
-def _linearize(
-    slot_columns: Sequence[Sequence[np.ndarray]], n: int
-) -> tuple[list[np.ndarray], int]:
-    """Mixed-radix linearization of per-dimension value columns.
-
-    ``slot_columns`` holds one or more slots (reads of one array) with the
-    same dimension count; each dimension's radix comes from the value range
-    over *all* slots, so every slot's keys land in one shared dense key
-    space.  Returns ``(keys_per_slot, size)`` with ``0 <= keys < size``.
-    """
-    keys = [np.zeros(n, dtype=np.int64) for _ in slot_columns]
-    size = 1
-    for d in range(len(slot_columns[0])):
-        lo = min(int(cols[d].min()) for cols in slot_columns) if n else 0
-        hi = max(int(cols[d].max()) for cols in slot_columns) if n else 0
-        radix = hi - lo + 1
-        for k, cols in enumerate(slot_columns):
-            keys[k] = keys[k] * radix + (cols[d] - lo)
-        size *= radix
-    return keys, size
-
-
 def _guard_mask(guard: str, params: Mapping[str, int],
                 cols: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """Evaluate a statement guard over whole point columns.
@@ -473,36 +361,6 @@ def _guard_mask(guard: str, params: Mapping[str, int],
         return out
 
 
-def _blocked_columns(
-    variables: Sequence[str],
-    extents: Mapping[str, int],
-    tiles: Mapping[str, int],
-) -> tuple[dict[str, np.ndarray], int]:
-    """Iteration-point columns in blocked order.
-
-    The blocked order -- tiles lexicographic over ``variables``, then
-    intra-tile points lexicographic -- is a permutation of the plain
-    lexicographic grid, computed as one stable ``lexsort`` by tile
-    coordinates (stability preserves the intra-tile order the C-order grid
-    already has).
-    """
-    if not variables:
-        return {}, 1
-    ext_list = [int(extents[v]) for v in variables]
-    n = 1
-    for e in ext_list:
-        n *= e
-    if n == 0:
-        return {v: np.empty(0, dtype=np.int64) for v in variables}, 0
-    grid = np.indices(ext_list, dtype=np.int64).reshape(len(variables), -1)
-    cols = {v: grid[i] for i, v in enumerate(variables)}
-    if any(tiles[v] < extents[v] for v in variables):
-        tile_keys = [cols[v] // tiles[v] for v in reversed(variables)]
-        order = np.lexsort(tile_keys)
-        cols = {v: c[order] for v, c in cols.items()}
-    return cols, n
-
-
 def single_statement_stream(
     program: Program,
     params: Mapping[str, int],
@@ -514,24 +372,20 @@ def single_statement_stream(
 ) -> AccessStream:
     """Stream a single-statement self-update kernel without building a graph.
 
-    Fully vectorized: iteration points of the blocked order (tiles
-    lexicographic over ``variable_order``, then intra-tile points) are
-    materialized as whole columns, every affine access is evaluated over
-    those columns at once, ids are assigned by one first-appearance
-    factorization of the flat key sequence, and program-order legality of
-    each element's self-update chain is one grouped monotonicity check.
-    Raises :class:`ScheduleError` if the blocked order would execute a
-    self-update chain out of program order (illegal tiling).
-
-    Above :data:`AUTO_CHUNK_POSITIONS` iteration points -- or whenever
-    ``chunk_positions`` / ``memmap_dir`` is passed -- the build runs
-    chunked: the blocked order is generated tile-batch by tile-batch
-    straight into preallocated output arrays (``numpy.memmap``-backed under
-    ``memmap_dir`` when given; ``True`` means the system temp dir), with
-    first-appearance id tables and version-chain state carried across
-    chunks.  The chunked build is bit-identical to the monolithic one;
-    kernels whose access keys are too sparse for the carried dense tables
-    fall back to the monolithic path automatically.
+    Iteration points of the blocked order (tiles lexicographic over
+    ``variable_order``, then intra-tile points) are generated tile-batch by
+    tile-batch in chunks of ``chunk_positions`` points (default
+    :data:`DEFAULT_CHUNK_POSITIONS`) straight into preallocated output
+    arrays -- ``numpy.memmap``-backed under ``memmap_dir`` when given
+    (``True`` means the system temp dir).  Every affine access is evaluated
+    over whole point columns, ids are assigned by first-appearance
+    factorization with the id tables carried across chunks, and
+    program-order legality of each element's self-update chain is a grouped
+    monotonicity check.  Raises :class:`ScheduleError` if the blocked order
+    would execute a self-update chain out of program order (illegal
+    tiling), or if the access keys are too sparse for the carried dense
+    tables -- :func:`stream_from_graph` streams such kernels from their
+    CDAG.
     """
     st = _self_update_statement(program)
     variables = list(variable_order or st.iteration_vars)
@@ -549,195 +403,18 @@ def single_statement_stream(
         else extents[var]
         for var in variables
     }
-    if chunk_positions is not None and int(chunk_positions) < 1:
+    if chunk_positions is None:
+        chunk_positions = DEFAULT_CHUNK_POSITIONS
+    elif int(chunk_positions) < 1:
         raise ScheduleError("chunk_positions must be >= 1")
-    n_grid = 1
-    for v in variables:
-        n_grid *= int(extents[v])
-    wants_chunked = (
-        chunk_positions is not None
-        or bool(memmap_dir)
-        or n_grid > AUTO_CHUNK_POSITIONS
-    )
     with obs_span("stream.build", builder="ir", kernel=program.name) as sp:
-        stream = None
-        if wants_chunked and n_grid > 0:
-            chunk = (
-                int(chunk_positions)
-                if chunk_positions is not None
-                else DEFAULT_CHUNK_POSITIONS
-            )
-            stream = _chunked_stream(
-                program, st, params, variables, extents, tiles, chunk, memmap_dir
-            )
-        if stream is None:
-            stream = _monolithic_stream(
-                program, st, params, variables, extents, tiles
-            )
-        sp.note(chunked=stream.chunk_positions is not None)
+        stream = _chunked_stream(
+            program, st, params, variables, extents, tiles,
+            int(chunk_positions), memmap_dir,
+        )
         sp.add("positions", stream.n_positions)
         sp.add("accesses", stream.n_accesses)
         return stream
-
-
-def _monolithic_stream(
-    program: Program,
-    st,
-    params: Mapping[str, int],
-    variables: list[str],
-    extents: Mapping[str, int],
-    tiles: Mapping[str, int],
-) -> AccessStream:
-    """One-shot build: whole grid as columns, one lexsort, one factorization."""
-    out_array = st.output.array
-    out_component = st.output.components[0]
-    # (array, component, is_self) per read, skipping the self-read (resolved
-    # against the version chain) -- order preserved to match build_cdag edges.
-    reads = []
-    for acc in st.inputs:
-        for comp in acc.components:
-            reads.append((acc.array, comp, acc.array == out_array))
-    # Without a self-read, versions of an element are independent vertices:
-    # all of them are program outputs and any execution order is legal.
-    has_self = any(is_self for _, _, is_self in reads)
-
-    # Reduction variables: those the output access does not use.  Their
-    # lexicographic order (in declared variable order) is the program order
-    # of each element's version chain.
-    out_vars = set()
-    for idx in out_component:
-        out_vars.update(idx.variables())
-    reduction_vars = [v for v in st.iteration_vars if v not in out_vars]
-
-    cols, n = _blocked_columns(variables, extents, tiles)
-    if n and st.guard:
-        mask = _guard_mask(st.guard, params, cols, n)
-        if not mask.all():
-            cols = {v: c[mask] for v, c in cols.items()}
-            n = int(mask.sum())
-    if n == 0:
-        return AccessStream(
-            n_positions=0,
-            n_ids=0,
-            parent_offsets=np.zeros(1, dtype=np.int64),
-            parent_ids=np.empty(0, dtype=np.int64),
-            computed_ids=np.empty(0, dtype=np.int64),
-            starts_blue=np.empty(0, dtype=np.uint8),
-            store_at_compute=np.empty(0, dtype=np.uint8),
-            labels=None,
-        )
-
-    out_vals = [_eval_affine(idx, cols, n) for idx in out_component]
-    (elem_keys,), _ = _linearize([out_vals], n)
-    # Stable grouping by written element; stream order within each group.
-    grouped = np.argsort(elem_keys, kind="stable")
-    same_elem = elem_keys[grouped][1:] == elem_keys[grouped][:-1]
-
-    prev_write = np.full(n, -1, dtype=np.int64)
-    if has_self:
-        rank = np.zeros(n, dtype=np.int64)
-        for var in reduction_vars:
-            rank = rank * extents[var] + cols[var]
-        bad = same_elem & (rank[grouped][1:] <= rank[grouped][:-1])
-        if bad.any():
-            offenders = grouped[1:][bad]
-            j = int(np.argmin(offenders))
-            p, q = int(offenders[j]), int(grouped[:-1][bad][j])
-            element = tuple(int(vals[p]) for vals in out_vals)
-            previous = tuple(int(cols[v][q]) for v in reduction_vars)
-            current = tuple(int(cols[v][p]) for v in reduction_vars)
-            raise ScheduleError(
-                f"blocked order executes element {element} of "
-                f"{out_array!r} out of program order "
-                f"({previous} before {current})"
-            )
-        prev_write[grouped[1:][same_elem]] = grouped[:-1][same_elem]
-        store_at_compute = np.ones(n, dtype=np.uint8)
-        store_at_compute[grouped[:-1][same_elem]] = 0  # only last versions
-    else:
-        store_at_compute = np.ones(n, dtype=np.uint8)
-
-    # Input-read keys: per-array dense linearization shared by every read of
-    # that array, then disjoint global key ranges per array.
-    read_keys: list[np.ndarray | None] = [None] * len(reads)
-    input_arrays: list[str] = []
-    for arr, _, is_self in reads:
-        if not is_self and arr not in input_arrays:
-            input_arrays.append(arr)
-    base = 0
-    for arr in input_arrays:
-        slots = [
-            j for j, (a, _, is_self) in enumerate(reads)
-            if a == arr and not is_self
-        ]
-        per_slot_vals = [
-            [_eval_affine(idx, cols, n) for idx in reads[j][1]] for j in slots
-        ]
-        keys_per_slot, size = _linearize(per_slot_vals, n)
-        for j, keys in zip(slots, keys_per_slot):
-            read_keys[j] = keys + base
-        base += size
-    input_total = base
-    if input_total + n >= 1 << 62:
-        raise ScheduleError(
-            f"{program.name!r}: access key space too large to linearize"
-        )
-
-    # Key matrix: one row per position, one column per read slot plus the
-    # compute slot; -1 marks suppressed slots (first-version self-reads and
-    # per-position duplicate reads, matching build_cdag's parent dedup).
-    ncols = len(reads) + 1
-    keymat = np.full((n, ncols), -1, dtype=np.int64)
-    self_emitted = False
-    for j, (arr, _, is_self) in enumerate(reads):
-        if is_self:
-            if self_emitted:
-                continue  # one version-chain parent per position
-            self_emitted = True
-            live = prev_write >= 0  # first write reads the initial value
-            keymat[live, j] = input_total + prev_write[live]
-            continue
-        keep = np.ones(n, dtype=bool)
-        for i in range(j):
-            arr_i, _, self_i = reads[i]
-            if arr_i == arr and not self_i:
-                keep &= read_keys[j] != read_keys[i]
-        keymat[keep, j] = read_keys[j][keep]
-    keymat[:, -1] = input_total + np.arange(n, dtype=np.int64)
-
-    # First-appearance id assignment over the flat (position-major) key
-    # sequence: exactly the interleaved numbering the scalar builder and
-    # stream_vertex_ids produce.
-    flat = keymat.reshape(-1)
-    emitted = flat >= 0
-    seq = flat[emitted]
-    ids_seq, uniq = _first_appearance_ids(seq, input_total + n)
-
-    slot_index = np.nonzero(emitted)[0]
-    is_compute = (slot_index % ncols) == ncols - 1
-    computed_ids = ids_seq[is_compute]
-    parent_ids = ids_seq[~is_compute]
-    counts = (keymat[:, :-1] >= 0).sum(axis=1, dtype=np.int64)
-    parent_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-    )
-    starts_blue = (uniq < input_total).astype(np.uint8)
-
-    return AccessStream(
-        n_positions=n,
-        n_ids=len(uniq),
-        parent_offsets=parent_offsets,
-        parent_ids=parent_ids,
-        computed_ids=computed_ids,
-        starts_blue=starts_blue,
-        store_at_compute=store_at_compute,
-        labels=None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Chunked IR-direct streaming (the 10^8-access path)
-# ---------------------------------------------------------------------------
 
 
 def _affine_box_range(idx, extents: Mapping[str, int]) -> tuple[int, int]:
@@ -757,12 +434,11 @@ def _box_spec(
 ) -> tuple[list[tuple[int, int]], int]:
     """Per-dimension ``(lo, radix)`` shared by all slots of one array.
 
-    The monolithic :func:`_linearize` derives radices from the data it has
-    in hand; here they come from the affine range over the full iteration
-    box instead, so every chunk linearizes into the *same* dense key space.
-    Both maps are injective on the box, and first-appearance ids depend only
-    on the key equality pattern and emission order -- never on key values --
-    so the two builders assign identical ids.
+    Radices come from the affine range over the full iteration box, so
+    every chunk linearizes into the *same* dense key space.  The map is
+    injective on the box, and first-appearance ids depend only on the key
+    equality pattern and emission order -- never on key values -- so ids
+    match :func:`stream_from_graph` on the materialized CDAG.
     """
     ndim = len(components[0])
     spec: list[tuple[int, int]] = []
@@ -798,13 +474,12 @@ def _blocked_column_chunks(
 ):
     """Yield ``(columns, n)`` segments of the blocked iteration order.
 
-    Covers exactly the point sequence :func:`_blocked_columns` materializes
-    at once -- tiles lexicographic over ``variables``, intra-tile points
-    lexicographic -- in segments of at most ``chunk_positions`` points with
-    O(chunk) peak memory.  Tile batches are decomposed fully vectorized:
-    tile linear indices -> per-variable tile coordinates (mixed radix), then
-    per-point intra-tile coordinates with *per-tile* radices, so ragged edge
-    tiles need no special casing.
+    The blocked order is tiles lexicographic over ``variables``, then
+    intra-tile points lexicographic; it is yielded in segments of at most
+    ``chunk_positions`` points with O(chunk) peak memory.  Tile batches are
+    decomposed fully vectorized: tile linear indices -> per-variable tile
+    coordinates (mixed radix), then per-point intra-tile coordinates with
+    *per-tile* radices, so ragged edge tiles need no special casing.
     """
     if not variables:
         yield {}, 1
@@ -865,7 +540,7 @@ def _chunked_stream(
     tiles: Mapping[str, int],
     chunk_positions: int,
     memmap_dir,
-) -> AccessStream | None:
+) -> AccessStream:
     """Chunk-at-a-time build into preallocated (optionally memmap) arrays.
 
     Carried across chunks: a dense ``id_table`` over the input key space
@@ -873,9 +548,9 @@ def _chunked_stream(
     ``last_rank`` tables resolving self-update chains and their legality,
     and the running position / access / id counters.  Earlier-chunk version
     keys resolve through ``computed_ids`` already written; everything else
-    factorizes per chunk with ``np.unique`` ordered by first occurrence.
-    Returns ``None`` when the access keys are too sparse for the dense
-    carried tables -- the caller then falls back to the monolithic build.
+    goes through one :func:`_first_appearance_ids` factorization per chunk.
+    Raises :class:`ScheduleError` when the access keys are too sparse for
+    the dense carried tables.
     """
     out_array = st.output.array
     out_component = st.output.components[0]
@@ -893,8 +568,7 @@ def _chunked_stream(
     for v in variables:
         n_grid *= int(extents[v])
 
-    # Per-array box-derived key specs with disjoint global base ranges,
-    # mirroring the monolithic _linearize layout.
+    # Per-array box-derived key specs with disjoint global base ranges.
     input_arrays: list[str] = []
     for arr, _, is_self in reads:
         if not is_self and arr not in input_arrays:
@@ -914,15 +588,19 @@ def _chunked_stream(
         raise ScheduleError(
             f"{program.name!r}: access key space too large to linearize"
         )
+    # the carried tables are dense over the key spaces: refuse key spaces
+    # that would dwarf the stream itself
     dense_cap = max(16 * n_grid, 1 << 22)
-    if input_total > dense_cap:
-        return None  # sparse input keys: dense id_table would dwarf stream
     elem_spec = None
     elem_space = 0
     if has_self:
         elem_spec, elem_space = _box_spec([out_component], extents)
-        if elem_space > dense_cap:
-            return None
+    if max(input_total, elem_space) > dense_cap:
+        raise ScheduleError(
+            f"{program.name!r}: access keys too sparse for IR-direct "
+            f"streaming ({max(input_total, elem_space)} keys for {n_grid} "
+            "iteration points); build the CDAG and use stream_from_graph"
+        )
 
     # Output arrays at upper-bound sizes (guards can only shrink), trimmed
     # at the end; int32 everywhere the value ranges allow.
@@ -999,7 +677,10 @@ def _chunked_stream(
             last_writer[skeys[tail]] = grouped[tail] + pos_filled
             last_rank[skeys[tail]] = srank[tail]
 
-        # -- key matrix, exactly the monolithic layout -----------------
+        # -- key matrix: one row per position, one column per read slot
+        #    plus the compute slot; -1 marks suppressed slots (first-version
+        #    self-reads and per-position duplicate reads, matching
+        #    build_cdag's parent dedup) ----------------------------------
         keymat = np.full((c, ncols), -1, dtype=np.int64)
         read_keys: list[np.ndarray | None] = [None] * len(reads)
         self_emitted = False
@@ -1042,20 +723,17 @@ def _chunked_stream(
         unknown[i_idx] = looked < 0
         if unknown.any():
             sub = seq[unknown]
-            keys_u, first_idx, inverse = np.unique(
-                sub, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first_idx, kind="stable")
-            rank_of = np.empty(len(keys_u), dtype=np.int64)
-            rank_of[order] = np.arange(len(keys_u), dtype=np.int64)
-            ids[unknown] = next_id + rank_of[inverse]
-            new_keys = keys_u[order]
-            new_ids = next_id + np.arange(len(keys_u), dtype=np.int64)
+            # this chunk's version keys rebased to the chunk, so the key
+            # space stays O(input keys + chunk)
+            sub = np.where(sub >= input_total, sub - pos_filled, sub)
+            local_ids, new_keys = _first_appearance_ids(sub, input_total + c)
+            ids[unknown] = next_id + local_ids
+            new_ids = next_id + np.arange(len(new_keys), dtype=np.int64)
             fresh_inputs = new_keys < input_total
             starts_blue[new_ids[fresh_inputs]] = 1
             if fresh_inputs.any():
                 id_table[new_keys[fresh_inputs]] = new_ids[fresh_inputs]
-            next_id += len(keys_u)
+            next_id += len(new_keys)
 
         # -- scatter into the preallocated columns ---------------------
         slot_index = np.nonzero(emitted)[0]

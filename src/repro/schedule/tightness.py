@@ -16,26 +16,31 @@ constant-factor slop (leading-order truncation, cold misses, tile rounding),
 so the thresholds are deliberately generous; the trend with growing ``S``
 and problem size is the signal.
 
-The sweep itself is embarrassingly parallel: every (kernel, params, S)
-point is an independent replay.  ``audit_corpus(jobs=N)`` runs it in two
-phases over one process pool (``repro tightness --jobs``, the
-``/tightness`` service endpoint, and ``benchmarks/bench_tightness.py`` all
-thread it through).  Phase A fans *kernels* out: each worker builds the
-CDAG, the baseline and derived-schedule streams, and their next-use arrays
-exactly once, then **publishes** the streams to shared memory
-(:mod:`repro.schedule.shared_streams`) keyed by stream signature.  Phase B
-fans the (kernel, S) *points* out: workers attach zero-copy read-only
-views of the published streams (cached per process) and replay -- no
-worker ever rebuilds a stream another worker already built.  The driver
-assembles rows from the replay costs, so parallel output is exactly the
-serial sweep's, row for row.  ``chunk_size`` bounds the replay slab (and
-next-use chunk) so even huge streams replay in O(chunk) extra memory.
+Every sweep goes through one per-kernel planner and one row builder.  The
+planner (:func:`_plan_kernel`) builds the kernel's CDAG once, clamps each
+requested S to the feasibility floor (skipping sizes that clamp to one
+already planned), evaluates the certified bounds, derives the schedule, and
+builds every distinct stream once.  The row builder (:func:`_kernel_rows`)
+turns the plan plus one replay per point into rows.  Only where the
+replays run differs:
+
+* ``jobs=1`` replays in-process on the plan's stream objects, one kernel
+  at a time;
+* ``jobs=N`` (``repro tightness --jobs``, the ``/tightness`` service
+  endpoint, ``benchmarks/bench_tightness.py``) runs two phases over one
+  process pool.  Phase A fans *kernels* out: each worker plans, then
+  **publishes** the streams and their next-use arrays to shared memory
+  (:mod:`repro.schedule.shared_streams`).  Phase B fans the (kernel, S)
+  *points* out: workers attach zero-copy read-only views (cached per
+  process) and replay -- no worker ever rebuilds a stream.
+
+``chunk_size`` bounds the replay slab so even huge streams replay in
+O(chunk) extra memory; results are identical whatever its value.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -48,6 +53,7 @@ from repro.schedule.derive import blocked_order, derive_schedule
 from repro.schedule.simulator import simulate_io
 from repro.schedule.stream import stream_from_graph
 from repro.util.errors import SoapError
+from repro.util.pool import pool_workers
 
 #: gap thresholds for the classification buckets
 ATTAINED_MAX = 2.5
@@ -220,84 +226,13 @@ def _error_row(name: str, category: str, params, s: int, message: str) -> Tightn
     )
 
 
-@dataclass
-class _KernelContext:
-    """Everything one kernel instance shares across its S-sweep points.
-
-    Built once per (kernel, params) -- in-process for serial sweeps, once
-    per worker process for parallel ones -- and memoized so every further S
-    point reuses the CDAG, the program-order baseline stream (whose next-use
-    table is itself memoized on the stream), and any derived-schedule stream
-    already built for the same tile sizes.
-    """
-
-    category: str
-    program: object = None
-    cdag: object = None
-    baseline_stream: object = None
-    min_s: int = 1
-    max_indegree: int = 0
-    #: derived-schedule streams keyed by (tiled, variable order, tile sizes)
-    stream_cache: dict = field(default_factory=dict)
-    error: str | None = None
-    #: clamped sizes already audited in the current sweep (see _SWEEP_TOKENS)
-    sweep_token: int = -1
-    audited_s: set = field(default_factory=set)
-
-
-#: size-1 per-process-per-thread memo: points arrive kernel-major, so one
-#: slot suffices (and bounds worker memory at a single concrete CDAG).
-#: Thread-local because the service daemon runs concurrent audit jobs on a
-#: shared worker pool -- a module-global slot would race across jobs.
-_CTX = threading.local()
-
-#: one token per sweep, threaded through the point tasks so a worker can
-#: tell "duplicate clamped S within this sweep" (skip cheaply) apart from
-#: "same kernel audited again by a later sweep" (recompute)
-_SWEEP_TOKENS = itertools.count()
-
-
 @functools.lru_cache(maxsize=16)
 def _built_program(name: str):
     """Registered kernels build immutable IR; share one instance per name
-    between the driver's audit-default resolution and the audit contexts."""
+    between the driver's audit-default resolution and the planner."""
     from repro.kernels import get_kernel
 
     return get_kernel(name).build()
-
-
-def _kernel_context(
-    name: str, params: Mapping[str, int], max_vertices: int
-) -> _KernelContext:
-    from repro.kernels import get_kernel
-
-    key = (name, tuple(sorted(params.items())), int(max_vertices))
-    if getattr(_CTX, "key", None) == key:
-        return _CTX.val
-    spec = get_kernel(name)
-    ctx = _KernelContext(category=spec.category)
-    try:
-        program = _built_program(name)
-        cdag = cached_cdag(name, params, program=program)
-    except SoapError as err:
-        ctx.error = f"CDAG build failed: {err}"
-    else:
-        if cdag.n_vertices > max_vertices:
-            ctx.error = (
-                f"instance too large: {cdag.n_vertices} > "
-                f"{max_vertices} vertices"
-            )
-        else:
-            ctx.program = program
-            ctx.cdag = cdag
-            # Feasibility floor: a vertex's operands plus itself must fit.
-            ctx.max_indegree = max(
-                (cdag.graph.in_degree(v) for v in cdag.graph.nodes), default=0
-            )
-            ctx.min_s = ctx.max_indegree + 2
-            ctx.baseline_stream = stream_from_graph(cdag.graph)
-    _CTX.key, _CTX.val = key, ctx
-    return ctx
 
 
 def _certified_bounds(
@@ -305,9 +240,8 @@ def _certified_bounds(
 ) -> tuple[dict[str, float], float, str | None]:
     """Every applicable bound engine at one point: values, max, winner.
 
-    The same call serves the serial and the parallel sweep so their rows
-    stay bit-identical.  The certified value is the gap denominator; the
-    raw KKT value stays visible in the per-engine dict.
+    The certified value is the gap denominator; the raw KKT value stays
+    visible in the per-engine dict.
     """
     from repro.bounds import evaluate_bounds
 
@@ -322,112 +256,216 @@ def _certified_bounds(
     return combined.engine_values(), combined.certified, combined.winning_engine
 
 
-def _audit_point(task: tuple) -> tuple[bool, TightnessRow | None]:
-    """One (kernel, params, S) audit point -- the serial sweep's unit of work.
+#: key of the program-order baseline in :attr:`_KernelPlan.streams`
+_BASELINE = "baseline"
 
-    Returns ``(dedupable, row)``: rows that went through feasibility
-    clamping carry ``dedupable=True`` so the driver can collapse requested
-    sizes that clamp to the same S, exactly like the serial sweep did.
-    A ``None`` row is a duplicate clamped size already audited by this
-    worker in this sweep, skipped before any replay work.
+
+@dataclass(frozen=True)
+class _PlannedPoint:
+    """One distinct (kernel, clamped S) point, planned but not replayed."""
+
+    s: int
+    s_requested: int
+    error: str | None = None  #: planning failed: the row is an error row
+    notes: tuple = ()
+    bound_value: float = 0.0
+    tiled: bool = False
+    tile_sizes: tuple = ()
+    schedule_notes: tuple = ()
+    #: key of the derived-schedule stream in :attr:`_KernelPlan.streams`
+    stream_key: tuple = ()
+    #: per-engine bound values as (engine, value) pairs (picklable, ordered)
+    engine_bounds: tuple = ()
+    winning_engine: str | None = None
+
+
+@dataclass
+class _KernelPlan:
+    """Everything one kernel's sweep needs besides the replays."""
+
+    name: str
+    category: str
+    params: dict
+    n_vertices: int = 0
+    error: str | None = None  #: kernel-level error (CDAG build / too large)
+    points: list = field(default_factory=list)
+    #: streams the points replay: :data:`_BASELINE` plus one per distinct
+    #: schedule -- in-process :class:`AccessStream` objects, or their
+    #: shared-memory refs once published
+    streams: dict = field(default_factory=dict)
+
+
+def _plan_kernel(
+    name, params, bound, program_bound, s_values, max_vertices, bounds_engines
+) -> _KernelPlan:
+    """Build one kernel's CDAG once and plan every point of its S sweep.
+
+    Clamps each requested S to the feasibility floor (a vertex's operands
+    plus itself must fit), skips sizes that clamp to one already planned,
+    evaluates the certified bounds, derives the schedule, and builds each
+    distinct stream once.  Analyzer errors become error points or a
+    kernel-level error, never exceptions.
     """
-    with obs_span(
-        "tightness.point", kernel=task[0], s_requested=int(task[2])
-    ):
-        return _audit_point_body(task)
+    from repro.kernels import get_kernel
 
-
-def _audit_point_body(task: tuple) -> tuple[bool, TightnessRow | None]:
-    (name, params, s_requested, max_vertices, bound, program_bound, token,
-     chunk_size, bounds_engines) = task
-    ctx = _kernel_context(name, params, max_vertices)
-    if ctx.error is not None:
-        return False, _error_row(
-            name, ctx.category, params, int(s_requested), ctx.error
-        )
-    s = max(int(s_requested), ctx.min_s)
-    if ctx.sweep_token != token:
-        ctx.sweep_token = token
-        ctx.audited_s = set()
-    if s in ctx.audited_s:
-        return True, None  # clamping collapsed two requested sizes
-    ctx.audited_s.add(s)
-    notes: list[str] = []
-    if s != s_requested:
-        notes.append(f"S clamped to {s} (max in-degree {ctx.max_indegree})")
-    try:
-        engine_bounds, bound_value, winning_engine = _certified_bounds(
-            ctx.cdag.graph, name, params, s, bound, bounds_engines
-        )
-        schedule = derive_schedule(ctx.program, program_bound, params, s)
-        stream_key = (
-            schedule.tiled,
-            tuple(schedule.variable_order),
-            tuple(sorted(schedule.tile_sizes.items())),
-        )
-        stream = ctx.stream_cache.get(stream_key)
-        if stream is None:
-            order = blocked_order(ctx.cdag, schedule)
-            stream = stream_from_graph(ctx.cdag.graph, order)
-            ctx.stream_cache[stream_key] = stream
-        schedule_cost = simulate_io(stream, s, slab_positions=chunk_size).cost
-        program_order_cost = simulate_io(
-            ctx.baseline_stream, s, slab_positions=chunk_size
-        ).cost
-    except SoapError as err:
-        return True, _error_row(name, ctx.category, params, s, str(err))
-    if not bound_value > 0:
-        return True, _error_row(
-            name, ctx.category, params, s,
-            f"bound evaluates to {bound_value}; gap undefined",
-        )
-    gap = schedule_cost / bound_value
-    if gap < 1.0:
-        # Legal: the leading-order bound need not bind on tiny instances
-        # (e.g. the whole working set fits in S, or the truncated
-        # lower-order terms dominate).  Flag it rather than hiding it.
-        notes.append(
-            "gap < 1: instance too small for the leading-order bound to bind"
-        )
-    return True, TightnessRow(
-        kernel=name,
-        category=ctx.category,
-        params=dict(params),
-        s=s,
-        s_requested=int(s_requested),
-        n_vertices=ctx.cdag.n_vertices,
-        bound_value=bound_value,
-        schedule_cost=schedule_cost,
-        program_order_cost=program_order_cost,
-        gap=gap,
-        gap_program_order=program_order_cost / bound_value,
-        classification=classify_gap(gap),
-        tiled=schedule.tiled,
-        tile_sizes=dict(schedule.tile_sizes),
-        notes=tuple(notes) + schedule.notes,
-        engine_bounds=engine_bounds,
-        winning_engine=winning_engine,
+    plan = _KernelPlan(
+        name=name, category=get_kernel(name).category, params=dict(params)
     )
-
-
-def _collapse_clamped(
-    outcomes: Sequence[tuple[bool, TightnessRow | None]]
-) -> list[TightnessRow]:
-    """Drop repeated clamped sizes of one kernel sweep (first row wins).
-
-    Workers skip duplicates they can see themselves (``None`` rows); this
-    driver-side pass also covers duplicates split across workers.
-    """
-    rows: list[TightnessRow] = []
-    audited_s: set[int] = set()
-    for dedupable, row in outcomes:
-        if row is None:
+    try:
+        program = _built_program(name)
+        cdag = cached_cdag(name, params, program=program)
+    except SoapError as err:
+        plan.error = f"CDAG build failed: {err}"
+        return plan
+    if cdag.n_vertices > max_vertices:
+        plan.error = (
+            f"instance too large: {cdag.n_vertices} > {max_vertices} vertices"
+        )
+        return plan
+    plan.n_vertices = cdag.n_vertices
+    max_indegree = max(
+        (cdag.graph.in_degree(v) for v in cdag.graph.nodes), default=0
+    )
+    baseline = stream_from_graph(cdag.graph)
+    audited: set[int] = set()
+    for s_requested in s_values:
+        s = max(int(s_requested), max_indegree + 2)
+        if s in audited:
+            continue  # clamping collapsed two requested sizes
+        audited.add(s)
+        notes = ()
+        if s != s_requested:
+            notes = (f"S clamped to {s} (max in-degree {max_indegree})",)
+        try:
+            engine_bounds, bound_value, winning_engine = _certified_bounds(
+                cdag.graph, name, params, s, bound, bounds_engines
+            )
+            schedule = derive_schedule(program, program_bound, params, s)
+            stream_key = (
+                schedule.tiled,
+                tuple(schedule.variable_order),
+                tuple(sorted(schedule.tile_sizes.items())),
+            )
+            if stream_key not in plan.streams:
+                order = blocked_order(cdag, schedule)
+                plan.streams[stream_key] = stream_from_graph(cdag.graph, order)
+        except SoapError as err:
+            plan.points.append(
+                _PlannedPoint(s=s, s_requested=int(s_requested), error=str(err))
+            )
             continue
-        if dedupable:
-            if row.s in audited_s:
+        plan.streams.setdefault(_BASELINE, baseline)
+        plan.points.append(
+            _PlannedPoint(
+                s=s,
+                s_requested=int(s_requested),
+                notes=notes,
+                bound_value=bound_value,
+                tiled=schedule.tiled,
+                tile_sizes=tuple(sorted(schedule.tile_sizes.items())),
+                schedule_notes=tuple(schedule.notes),
+                stream_key=stream_key,
+                engine_bounds=tuple(engine_bounds.items()),
+                winning_engine=winning_engine,
+            )
+        )
+    return plan
+
+
+def _replay_point(schedule, baseline, s: int, chunk_size) -> tuple | str:
+    """``(schedule_cost, program_order_cost)``, or the error message."""
+    try:
+        return (
+            simulate_io(schedule, s, slab_positions=chunk_size).cost,
+            simulate_io(baseline, s, slab_positions=chunk_size).cost,
+        )
+    except SoapError as err:
+        return str(err)
+
+
+def _kernel_rows(
+    plan: _KernelPlan, replays: Sequence, s_values: Sequence[int]
+) -> list[TightnessRow]:
+    """Rows of one kernel from its plan and one replay outcome per point
+    (``None`` for points whose planning failed)."""
+    name, category, params = plan.name, plan.category, plan.params
+    if plan.error is not None:
+        return [
+            _error_row(name, category, params, int(s), plan.error)
+            for s in s_values
+        ]
+    rows: list[TightnessRow] = []
+    for point, replay in zip(plan.points, replays):
+        if point.error is not None or isinstance(replay, str):
+            message = point.error if point.error is not None else replay
+            rows.append(_error_row(name, category, params, point.s, message))
+            continue
+        if not point.bound_value > 0:
+            rows.append(_error_row(
+                name, category, params, point.s,
+                f"bound evaluates to {point.bound_value}; gap undefined",
+            ))
+            continue
+        schedule_cost, program_order_cost = replay
+        gap = schedule_cost / point.bound_value
+        notes = point.notes
+        if gap < 1.0:
+            # Legal: the leading-order bound need not bind on tiny instances
+            # (e.g. the whole working set fits in S, or the truncated
+            # lower-order terms dominate).  Flag it rather than hiding it.
+            notes += (
+                "gap < 1: instance too small for the leading-order bound to bind",
+            )
+        rows.append(TightnessRow(
+            kernel=name,
+            category=category,
+            params=dict(params),
+            s=point.s,
+            s_requested=point.s_requested,
+            n_vertices=plan.n_vertices,
+            bound_value=point.bound_value,
+            schedule_cost=schedule_cost,
+            program_order_cost=program_order_cost,
+            gap=gap,
+            gap_program_order=program_order_cost / point.bound_value,
+            classification=classify_gap(gap),
+            tiled=point.tiled,
+            tile_sizes=dict(point.tile_sizes),
+            notes=notes + point.schedule_notes,
+            engine_bounds=dict(point.engine_bounds),
+            winning_engine=point.winning_engine,
+        ))
+    return rows
+
+
+def _serial_sweep(
+    kernel_specs: list[tuple],
+    *,
+    s_values: tuple[int, ...],
+    max_vertices: int,
+    chunk_size: int | None,
+    bounds_engines: tuple[str, ...] | None,
+) -> list[TightnessRow]:
+    """Plan and replay kernel by kernel, in-process: one kernel's CDAG and
+    streams are alive at a time."""
+    rows: list[TightnessRow] = []
+    for name, params, bound, program_bound in kernel_specs:
+        with obs_span("tightness.prepare", kernel=name):
+            plan = _plan_kernel(
+                name, params, bound, program_bound, s_values, max_vertices,
+                bounds_engines,
+            )
+        replays = []
+        for point in plan.points:
+            if point.error is not None:
+                replays.append(None)
                 continue
-            audited_s.add(row.s)
-        rows.append(row)
+            with obs_span("tightness.replay-point", kernel=name, s=point.s):
+                replays.append(_replay_point(
+                    plan.streams[point.stream_key], plan.streams[_BASELINE],
+                    point.s, chunk_size,
+                ))
+        rows.extend(_kernel_rows(plan, replays, s_values))
     return rows
 
 
@@ -470,19 +508,13 @@ def audit_kernel(
     merged = _merged_params(name, _built_program(name), params)
     if result is None:
         result = analyze_kernel(name)
-    token = next(_SWEEP_TOKENS)
-    try:
-        outcomes = [
-            _audit_point(
-                (name, merged, int(s), int(max_vertices),
-                 result.bound, result.program_bound, token, chunk_size,
-                 bounds_engines)
-            )
-            for s in s_values
-        ]
-    finally:
-        _reset_context()
-    return _collapse_clamped(outcomes)
+    return _serial_sweep(
+        [(name, merged, result.bound, result.program_bound)],
+        s_values=tuple(int(s) for s in s_values),
+        max_vertices=int(max_vertices),
+        chunk_size=chunk_size,
+        bounds_engines=bounds_engines,
+    )
 
 
 def _checked_chunk_size(chunk_size) -> int | None:
@@ -509,16 +541,6 @@ def _checked_bounds_engines(engines) -> tuple[str, ...] | None:
     return engines
 
 
-def _reset_context() -> None:
-    """Drop the thread's kernel-context memo at sweep end.
-
-    Long-lived daemon worker threads would otherwise retain the last
-    kernel's CDAG and stream cache (tens of MB) indefinitely.  Pool workers
-    do not need this: their processes exit with the sweep.
-    """
-    _CTX.key = _CTX.val = None
-
-
 def audit_corpus(
     names: Sequence[str] | None = None,
     *,
@@ -540,10 +562,12 @@ def audit_corpus(
     shares a live engine (and its solve cache) with the caller -- the
     service daemon's audit endpoint uses this.  ``jobs > 1`` parallelizes
     the analysis batch *and* the replay sweep, the latter in two phases
-    over one pool: kernels prepare-and-publish, then points attach-and-
+    over one pool: kernels plan-and-publish, then points attach-and-
     replay (see the module docstring).  ``chunk_size`` bounds the replay
-    slab and next-use chunk, trading time for peak memory -- results are
-    bit-identical whatever its value.  ``bounds_engines`` restricts the
+    slab only, trading time for peak memory -- results are bit-identical
+    whatever its value; next-use always scans slabs of 2^20 positions
+    (:data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`).
+    ``bounds_engines`` restricts the
     lower-bound engines behind the certified gap denominator (default:
     all registered engines; ``("kkt",)`` reproduces the KKT-only audit).
     """
@@ -566,9 +590,7 @@ def audit_corpus(
             selected, jobs=jobs, cache_dir=cache_dir, engine=engine,
             solver=solver,
         )
-        token = next(_SWEEP_TOKENS)
         kernel_specs: list[tuple] = []
-        tasks: list[tuple] = []
         for name, result in zip(selected, results):
             overrides: dict[str, int] = dict(params or {})
             if params_overrides and name in params_overrides:
@@ -577,32 +599,16 @@ def audit_corpus(
             kernel_specs.append(
                 (name, merged, result.bound, result.program_bound)
             )
-            tasks.extend(
-                (name, merged, s, int(max_vertices),
-                 result.bound, result.program_bound, token, chunk_size,
-                 bounds_engines)
-                for s in s_values
-            )
-
-        per_kernel = max(1, len(s_values))
-        if jobs > 1 and len(tasks) > 1:
-            outcomes = _shared_sweep(
-                kernel_specs,
-                s_values=s_values,
-                jobs=jobs,
-                max_vertices=int(max_vertices),
-                chunk_size=chunk_size,
-                bounds_engines=bounds_engines,
-            )
+        sweep = dict(
+            s_values=s_values,
+            max_vertices=int(max_vertices),
+            chunk_size=chunk_size,
+            bounds_engines=bounds_engines,
+        )
+        if jobs > 1 and len(kernel_specs) * len(s_values) > 1:
+            rows = _shared_sweep(kernel_specs, jobs=jobs, **sweep)
         else:
-            try:
-                outcomes = [_audit_point(task) for task in tasks]
-            finally:
-                _reset_context()
-
-        rows: list[TightnessRow] = []
-        for start in range(0, len(outcomes), per_kernel):
-            rows.extend(_collapse_clamped(outcomes[start:start + per_kernel]))
+            rows = _serial_sweep(kernel_specs, **sweep)
         sweep_span.add("rows", len(rows))
         return TightnessReport(
             rows=rows,
@@ -616,143 +622,31 @@ def audit_corpus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PreparedPoint:
-    """One (kernel, S) point after phase A, before replay."""
+def _plan_and_publish(task: tuple) -> _KernelPlan:
+    """Phase A, one kernel: :func:`_plan_kernel`, then publish its streams.
 
-    kind: str  #: "skip" (duplicate clamped S) | "error" | "replay"
-    s: int = 0
-    s_requested: int = 0
-    message: str = ""
-    notes: tuple = ()
-    bound_value: float = 0.0
-    tiled: bool = False
-    tile_sizes: tuple = ()
-    schedule_notes: tuple = ()
-    schedule_ref: object = None
-    baseline_ref: object = None
-    #: per-engine bound values as (engine, value) pairs (picklable, ordered)
-    engine_bounds: tuple = ()
-    winning_engine: str | None = None
-
-
-@dataclass
-class _PreparedKernel:
-    """Phase-A output for one kernel: published streams + point plans."""
-
-    name: str
-    category: str
-    params: dict
-    n_vertices: int = 0
-    error: str | None = None  #: kernel-level error (CDAG build / too large)
-    points: list = field(default_factory=list)
-    refs: list = field(default_factory=list)  #: segments the driver unlinks
-
-
-def _prepare_kernel(task: tuple) -> _PreparedKernel:
-    """Phase A, one kernel: build once, publish, plan every sweep point.
-
-    Mirrors :func:`_audit_point`'s decisions exactly (clamping, duplicate
-    skipping, error capture, note text) so the driver can assemble rows
-    identical to the serial sweep's.  Streams and their next-use arrays are
-    built here -- once, total -- and published; phase B only ever attaches.
+    Streams and their next-use arrays are built here -- once, total -- and
+    the plan travels back with shared-memory refs in place of the streams;
+    phase B only ever attaches.
     """
-    (name, params, s_values, max_vertices, bound, program_bound,
+    (name, params, bound, program_bound, s_values, max_vertices,
      bounds_engines, tctx) = task
     with attach(tctx), obs_span("tightness.prepare", kernel=name):
-        return _prepare_kernel_body(
-            name, params, s_values, max_vertices, bound, program_bound,
+        plan = _plan_kernel(
+            name, params, bound, program_bound, s_values, max_vertices,
             bounds_engines,
         )
+        param_key = tuple(sorted(params.items()))
+        plan.streams = {
+            key: shared_streams.publish(
+                stream, shared_streams.stream_signature(name, param_key, key)
+            )
+            for key, stream in plan.streams.items()
+        }
+        return plan
 
 
-def _prepare_kernel_body(
-    name, params, s_values, max_vertices, bound, program_bound, bounds_engines
-) -> _PreparedKernel:
-    ctx = _kernel_context(name, params, max_vertices)
-    prep = _PreparedKernel(
-        name=name, category=ctx.category, params=dict(params)
-    )
-    if ctx.error is not None:
-        prep.error = ctx.error
-        return prep
-    prep.n_vertices = ctx.cdag.n_vertices
-    param_key = tuple(sorted(params.items()))
-    published: dict = {}
-    baseline_ref = None
-    audited: set[int] = set()
-    for s_requested in s_values:
-        s = max(int(s_requested), ctx.min_s)
-        if s in audited:
-            prep.points.append(_PreparedPoint(kind="skip"))
-            continue
-        audited.add(s)
-        notes: list[str] = []
-        if s != s_requested:
-            notes.append(
-                f"S clamped to {s} (max in-degree {ctx.max_indegree})"
-            )
-        try:
-            engine_bounds, bound_value, winning_engine = _certified_bounds(
-                ctx.cdag.graph, name, params, s, bound, bounds_engines
-            )
-            schedule = derive_schedule(ctx.program, program_bound, params, s)
-            stream_key = (
-                schedule.tiled,
-                tuple(schedule.variable_order),
-                tuple(sorted(schedule.tile_sizes.items())),
-            )
-            schedule_ref = published.get(stream_key)
-            if schedule_ref is None:
-                stream = ctx.stream_cache.get(stream_key)
-                if stream is None:
-                    order = blocked_order(ctx.cdag, schedule)
-                    stream = stream_from_graph(ctx.cdag.graph, order)
-                    ctx.stream_cache[stream_key] = stream
-                schedule_ref = shared_streams.publish(
-                    stream,
-                    shared_streams.stream_signature(
-                        name, param_key, "schedule", stream_key
-                    ),
-                )
-                published[stream_key] = schedule_ref
-                prep.refs.append(schedule_ref)
-            if baseline_ref is None:
-                baseline_ref = shared_streams.publish(
-                    ctx.baseline_stream,
-                    shared_streams.stream_signature(
-                        name, param_key, "baseline"
-                    ),
-                )
-                prep.refs.append(baseline_ref)
-        except SoapError as err:
-            prep.points.append(
-                _PreparedPoint(
-                    kind="error", s=s, s_requested=int(s_requested),
-                    message=str(err),
-                )
-            )
-            continue
-        prep.points.append(
-            _PreparedPoint(
-                kind="replay",
-                s=s,
-                s_requested=int(s_requested),
-                notes=tuple(notes),
-                bound_value=bound_value,
-                tiled=schedule.tiled,
-                tile_sizes=tuple(sorted(schedule.tile_sizes.items())),
-                schedule_notes=tuple(schedule.notes),
-                schedule_ref=schedule_ref,
-                baseline_ref=baseline_ref,
-                engine_bounds=tuple(engine_bounds.items()),
-                winning_engine=winning_engine,
-            )
-        )
-    return prep
-
-
-def _replay_shared(task: tuple) -> tuple:
+def _replay_shared(task: tuple) -> tuple | str:
     """Phase B, one point: attach published streams (cached) and replay.
 
     No stream construction happens here, by design -- the function only
@@ -763,25 +657,16 @@ def _replay_shared(task: tuple) -> tuple:
         "tightness.replay-point", kernel=kernel, s=int(s)
     ):
         try:
-            stream = shared_streams.attach_cached(schedule_ref)
-            baseline = shared_streams.attach_cached(baseline_ref)
-            schedule_cost = simulate_io(
-                stream, s, slab_positions=chunk_size
-            ).cost
-            program_order_cost = simulate_io(
-                baseline, s, slab_positions=chunk_size
-            ).cost
-        except SoapError as err:
-            return ("error", str(err))
+            return _replay_point(
+                shared_streams.attach_cached(schedule_ref),
+                shared_streams.attach_cached(baseline_ref),
+                s, chunk_size,
+            )
         except (FileNotFoundError, ValueError, OSError) as err:
             # A vanished or undersized segment (publisher died, orphan
             # sweep raced us) degrades this point to a typed error row;
             # it must never take the whole sweep down.
-            return (
-                "error",
-                f"shared segment unavailable ({type(err).__name__}: {err})",
-            )
-        return ("ok", schedule_cost, program_order_cost)
+            return f"shared segment unavailable ({type(err).__name__}: {err})"
 
 
 def _shared_sweep(
@@ -792,8 +677,8 @@ def _shared_sweep(
     max_vertices: int,
     chunk_size: int | None,
     bounds_engines: tuple[str, ...] | None,
-) -> list[tuple[bool, TightnessRow | None]]:
-    """The parallel sweep: prepare-and-publish, then attach-and-replay.
+) -> list[TightnessRow]:
+    """The parallel sweep: plan-and-publish, then attach-and-replay.
 
     Both phases run on one process pool, order-preserving.  From the main
     thread, forked workers inherit the warm interpreter state (kernel
@@ -805,7 +690,6 @@ def _shared_sweep(
     unlinks every segment on the way out, success or not.
     """
     import multiprocessing
-    import os
     from concurrent.futures import ProcessPoolExecutor
 
     on_main = threading.current_thread() is threading.main_thread()
@@ -813,118 +697,46 @@ def _shared_sweep(
         mp_context = multiprocessing.get_context("fork" if on_main else "spawn")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         mp_context = multiprocessing.get_context()
-    # cap at the core count: the points are CPU-bound, and the service
-    # endpoint forwards caller-supplied jobs values -- one request must not
-    # be able to spawn a worker per sweep point on a large corpus
-    n_points = len(kernel_specs) * max(1, len(s_values))
-    workers = max(1, min(int(jobs), n_points, os.cpu_count() or 1))
+    # the points are CPU-bound, and the service endpoint forwards
+    # caller-supplied jobs values: one request must not be able to spawn a
+    # worker per sweep point on a large corpus
+    workers = pool_workers(jobs, len(kernel_specs) * max(1, len(s_values)))
     tctx = trace_context()  # workers stitch under the driver's sweep span
-    prep_tasks = [
-        (name, params, s_values, max_vertices, bound, program_bound,
+    plan_tasks = [
+        (name, params, bound, program_bound, s_values, max_vertices,
          bounds_engines, tctx)
         for name, params, bound, program_bound in kernel_specs
     ]
-    refs: list = []
+    plans: list[_KernelPlan] = []
     try:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=mp_context
         ) as pool:
-            preps = list(pool.map(_prepare_kernel, prep_tasks, chunksize=1))
-            replay_tasks = []
-            slots = []
-            for ki, prep in enumerate(preps):
-                refs.extend(prep.refs)
-                for pi, point in enumerate(prep.points):
-                    if point.kind == "replay":
-                        replay_tasks.append(
-                            (point.schedule_ref, point.baseline_ref,
-                             point.s, chunk_size, prep.name, tctx)
-                        )
-                        slots.append((ki, pi))
-            replays = (
-                list(
-                    pool.map(
-                        _replay_shared,
-                        replay_tasks,
-                        chunksize=max(1, len(s_values)),
-                    )
+            for plan in pool.map(_plan_and_publish, plan_tasks, chunksize=1):
+                plans.append(plan)
+            replay_tasks = [
+                (plan.streams[point.stream_key], plan.streams[_BASELINE],
+                 point.s, chunk_size, plan.name, tctx)
+                for plan in plans
+                for point in plan.points
+                if point.error is None
+            ]
+            replays = iter(
+                pool.map(
+                    _replay_shared, replay_tasks,
+                    chunksize=max(1, len(s_values)),
                 )
-                if replay_tasks
-                else []
             )
-        return _assemble_outcomes(preps, replays, slots, s_values)
+        rows: list[TightnessRow] = []
+        for plan in plans:
+            rows.extend(_kernel_rows(
+                plan,
+                [None if p.error is not None else next(replays)
+                 for p in plan.points],
+                s_values,
+            ))
+        return rows
     finally:
-        for ref in refs:
-            shared_streams.unlink(ref)
-
-
-def _assemble_outcomes(
-    preps: list[_PreparedKernel],
-    replays: list[tuple],
-    slots: list[tuple[int, int]],
-    s_values: tuple[int, ...],
-) -> list[tuple[bool, TightnessRow | None]]:
-    """Rows from phase-A plans + phase-B costs, serial-identical."""
-    outcomes: list[tuple[bool, TightnessRow | None]] = []
-    replay_by_slot = dict(zip(slots, replays))
-    for ki, prep in enumerate(preps):
-        if prep.error is not None:
-            outcomes.extend(
-                (False, _error_row(
-                    prep.name, prep.category, prep.params,
-                    int(s_requested), prep.error,
-                ))
-                for s_requested in s_values
-            )
-            continue
-        for pi, point in enumerate(prep.points):
-            if point.kind == "skip":
-                outcomes.append((True, None))
-                continue
-            if point.kind == "error":
-                outcomes.append((True, _error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    point.message,
-                )))
-                continue
-            replay = replay_by_slot[(ki, pi)]
-            if replay[0] == "error":
-                outcomes.append((True, _error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    replay[1],
-                )))
-                continue
-            _, schedule_cost, program_order_cost = replay
-            if not point.bound_value > 0:
-                outcomes.append((True, _error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    f"bound evaluates to {point.bound_value}; gap undefined",
-                )))
-                continue
-            gap = schedule_cost / point.bound_value
-            notes = list(point.notes)
-            if gap < 1.0:
-                notes.append(
-                    "gap < 1: instance too small for the leading-order "
-                    "bound to bind"
-                )
-            outcomes.append((True, TightnessRow(
-                kernel=prep.name,
-                category=prep.category,
-                params=dict(prep.params),
-                s=point.s,
-                s_requested=point.s_requested,
-                n_vertices=prep.n_vertices,
-                bound_value=point.bound_value,
-                schedule_cost=schedule_cost,
-                program_order_cost=program_order_cost,
-                gap=gap,
-                gap_program_order=program_order_cost / point.bound_value,
-                classification=classify_gap(gap),
-                tiled=point.tiled,
-                tile_sizes=dict(point.tile_sizes),
-                notes=tuple(notes) + point.schedule_notes,
-                engine_bounds=dict(point.engine_bounds),
-                winning_engine=point.winning_engine,
-            )))
-    return outcomes
+        for plan in plans:
+            for ref in plan.streams.values():
+                shared_streams.unlink(ref)

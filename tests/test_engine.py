@@ -269,6 +269,34 @@ class TestParallelExecution:
             assert a.bound == b.bound
             assert a.ratio == b.ratio
 
+    def test_analyze_many_caps_pool_at_cpu_count(self, tmp_path, monkeypatch):
+        """A caller-supplied jobs value never forks more workers than cores."""
+        import os
+
+        import repro.engine.batch as batch
+
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", RecordingPool)
+        names = ["gemm", "atax", "mvt"]
+        results = analyze_many(names, jobs=8, cache_dir=str(tmp_path / "cache"))
+        assert [r.name for r in results] == names
+        assert widths == [1]
+
 
 class TestStageDiagnostics:
     def test_stage_sequence_and_counts(self):

@@ -1,13 +1,15 @@
-"""Out-of-core replay pipeline: chunked == monolithic, bit for bit.
+"""Out-of-core replay pipeline: chunked == independent reference, bit for bit.
 
 Three contracts cover the whole chunked path:
 
 1. **Chunked stream build** (``single_statement_stream(chunk_positions=...)``,
-   optionally memmap-backed) produces arrays *identical* to the monolithic
-   lexsort build -- same ids, same offsets, same store markers -- for every
+   optionally memmap-backed) produces arrays *identical* to the one-shot
+   graph build (``stream_from_graph`` over the materialized CDAG in the same
+   blocked order) -- same ids, same offsets, same store markers -- for every
    chunk size, including degenerate ones (1, a prime, larger than the
    stream).
-2. **Chunked two-pass next-use** equals the monolithic argsort table.
+2. **Slab next-use scan** equals a plain-Python forward scan at every slab
+   size.
 3. **Slab-driven native replay** equals the whole-stream replay and the
    pure-Python reference, for Belady and LRU, at every slab size.
 
@@ -23,10 +25,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdag.build import build_cdag
 from repro.kernels import get_kernel
+from repro.pebbling.greedy import tiled_order
 from repro.schedule import shared_streams
 from repro.schedule.simulator import _replay, simulate_io
-from repro.schedule.stream import ScheduleError, single_statement_stream
+from repro.schedule.stream import (
+    ScheduleError,
+    single_statement_stream,
+    stream_from_graph,
+)
+from tests.test_schedule_sim import reference_next_use
 
 #: (kernel, params, tile_sizes, variable_order) -- single-statement kernels
 #: with known-legal blocked orders, covering tiled/untiled, multi-array
@@ -55,6 +64,21 @@ def _build(case, **kwargs):
     )
 
 
+def graph_reference(program, params, tiles=None, order=None):
+    """The same blocked order streamed from the materialized CDAG."""
+    cdag = build_cdag(program, params)
+    variables = list(order or program.statements[0].iteration_vars)
+    return stream_from_graph(
+        cdag.graph,
+        tiled_order(cdag.graph, cdag.point_of, tiles or {}, variables),
+    )
+
+
+def _reference(case):
+    name, params, tiles, order = case
+    return graph_reference(get_kernel(name).build(), params, tiles, order)
+
+
 def assert_streams_identical(a, b):
     assert a.n_positions == b.n_positions
     assert a.n_ids == b.n_ids
@@ -67,24 +91,24 @@ def assert_streams_identical(a, b):
 
 
 class TestChunkedBuildBitIdentical:
+    """The IR builder against the monolithic graph build: ``stream_from_graph``
+    over the whole materialized CDAG, ordered by ``tiled_order``."""
+
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_matches_monolithic(self, case, chunk):
-        mono = _build(case)
         chunked = _build(case, chunk_positions=chunk)
-        assert_streams_identical(mono, chunked)
+        assert_streams_identical(_reference(case), chunked)
 
     def test_memmap_backed_build_identical(self, tmp_path):
         case = STREAM_CASES[0]
-        mono = _build(case)
         mapped = _build(case, chunk_positions=64, memmap_dir=str(tmp_path))
-        assert_streams_identical(mono, mapped)
+        assert_streams_identical(_reference(case), mapped)
 
     def test_memmap_dir_true_uses_system_tmp(self):
         case = STREAM_CASES[0]
-        mono = _build(case)
         mapped = _build(case, memmap_dir=True)
-        assert_streams_identical(mono, mapped)
+        assert_streams_identical(_reference(case), mapped)
 
     def test_guarded_stream_identical(self):
         import dataclasses
@@ -97,12 +121,12 @@ class TestChunkedBuildBitIdentical:
             name="tri",
             statements=[dataclasses.replace(st_, guard="i <= j")],
         )
-        mono = single_statement_stream(guarded, {"N": 6})
+        reference = graph_reference(guarded, {"N": 6})
         for chunk in CHUNK_SIZES:
             chunked = single_statement_stream(
                 guarded, {"N": 6}, chunk_positions=chunk
             )
-            assert_streams_identical(mono, chunked)
+            assert_streams_identical(reference, chunked)
 
     def test_illegal_tiling_raises_in_both_paths(self):
         # tiling the reduction variable r of conv reorders version chains
@@ -123,6 +147,26 @@ class TestChunkedBuildBitIdentical:
         with pytest.raises(ScheduleError):
             _build(STREAM_CASES[0], chunk_positions=0)
 
+    def test_sparse_keys_raise_and_graph_streams(self):
+        """``C[i] = f(C[i], A[1048576*k])``: the dense carried id table would
+        dwarf the 64-position stream, so the IR builder refuses with a typed
+        error; the graph builder still streams the kernel."""
+        import sympy as sp
+
+        from repro.ir.program import Program
+        from repro.kernels.common import ref, stmt
+
+        n = sp.Symbol("N", positive=True)
+        update = stmt(
+            "sparse", {"i": n, "k": n},
+            ref("C", "i"), ref("C", "i"), ref("A", "1048576*k"),
+        )
+        program = Program.make("sparse", [update])
+        with pytest.raises(ScheduleError, match="stream_from_graph"):
+            single_statement_stream(program, {"N": 8}, chunk_positions=7)
+        stream = graph_reference(program, {"N": 8})
+        assert (stream.n_positions, stream.n_ids) == (64, 72)
+
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=6),
@@ -132,31 +176,33 @@ class TestChunkedBuildBitIdentical:
     def test_random_instances_identical(self, n, tile, chunk):
         program = get_kernel("gemm").build()
         tiles = {"i": tile, "j": tile, "k": tile}
-        mono = single_statement_stream(program, {"N": n}, tile_sizes=tiles)
         chunked = single_statement_stream(
             program, {"N": n}, tile_sizes=tiles, chunk_positions=chunk
         )
-        assert_streams_identical(mono, chunked)
+        assert_streams_identical(
+            graph_reference(program, {"N": n}, tiles), chunked
+        )
 
 
 class TestChunkedNextUse:
+    """The slab scan against the monolithic reference: one plain-Python
+    forward scan over the whole stream."""
+
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_matches_monolithic(self, case, chunk):
-        mono_na, mono_fu = _build(case).next_use_arrays()
-        chunk_na, chunk_fu = _build(case).next_use_arrays(
-            chunk_positions=chunk
-        )
-        np.testing.assert_array_equal(mono_na, np.asarray(chunk_na))
-        np.testing.assert_array_equal(mono_fu, np.asarray(chunk_fu))
+        stream = _build(case)
+        na, fu = stream.next_use_arrays(chunk_positions=chunk)
+        ref_na, ref_fu = reference_next_use(stream)
+        assert np.asarray(na).tolist() == ref_na
+        assert np.asarray(fu).tolist() == ref_fu
 
     def test_chunked_stream_defaults_to_chunked_next_use(self):
         stream = _build(STREAM_CASES[0], chunk_positions=16)
-        mono = _build(STREAM_CASES[0])
         na, fu = stream.next_use_arrays()
-        mono_na, mono_fu = mono.next_use_arrays()
-        np.testing.assert_array_equal(mono_na, np.asarray(na))
-        np.testing.assert_array_equal(mono_fu, np.asarray(fu))
+        ref_na, ref_fu = reference_next_use(stream)
+        assert np.asarray(na).tolist() == ref_na
+        assert np.asarray(fu).tolist() == ref_fu
 
 
 class TestSlabReplay:
@@ -178,13 +224,13 @@ class TestSlabReplay:
             assert slabbed.cost == python.cost
 
     def test_chunk_built_stream_replays_identically(self):
-        mono = _build(STREAM_CASES[0])
+        reference = _reference(STREAM_CASES[0])
         chunked = _build(STREAM_CASES[0], chunk_positions=7)
         for policy in ("belady", "lru"):
             assert (
                 simulate_io(chunked, 12, policy=policy,
                             slab_positions=7).cost
-                == simulate_io(mono, 12, policy=policy).cost
+                == simulate_io(reference, 12, policy=policy).cost
             )
 
     def test_too_small_s_raises_through_slab_path(self):
@@ -207,9 +253,9 @@ class TestSharedStreams:
             assert not attached.parent_ids.flags.writeable
             # the next-use memo travels with the segment: no recompute
             na, fu = attached.next_use_arrays()
-            mono_na, mono_fu = stream.next_use_arrays()
-            np.testing.assert_array_equal(mono_na, np.asarray(na))
-            np.testing.assert_array_equal(mono_fu, np.asarray(fu))
+            own_na, own_fu = stream.next_use_arrays()
+            np.testing.assert_array_equal(own_na, np.asarray(na))
+            np.testing.assert_array_equal(own_fu, np.asarray(fu))
             # replay over the attached views works read-only
             assert (
                 simulate_io(attached, 12).cost == simulate_io(stream, 12).cost
@@ -258,7 +304,7 @@ class TestParallelSweepSharing:
         ``stream_from_graph`` calls are counted in a fork-shared value;
         phase A builds (once per distinct stream), phase B only attaches,
         so the parallel count must match the serial sweep's -- where the
-        per-kernel context memo already guarantees build-once.
+        per-kernel planner already guarantees build-once.
         """
         import multiprocessing
 

@@ -331,28 +331,31 @@ def test_simulator_matches_game_on_random_dags(dag, s, policy):
 
 
 # ---------------------------------------------------------------------------
-# next-use table: pinning against the per-id use lists, memoization
+# next-use arrays: pinning against a plain-Python scan, memoization
 # ---------------------------------------------------------------------------
 
 
-class TestNextUseTable:
-    def pinned_table(self, stream):
-        """Reference next-use data derived from the per-id use lists."""
-        uses = stream.uses_by_id()
-        inf = stream.n_positions
-        positions, next_after = [], []
-        consumed = [0] * stream.n_ids
-        for pos in range(stream.n_positions):
-            lo, hi = stream.parent_offsets[pos], stream.parent_offsets[pos + 1]
-            for pid in stream.parent_ids[lo:hi]:
-                positions.append(pos)
-                k = consumed[pid] + 1
-                consumed[pid] = k
-                u = uses[pid]
-                next_after.append(u[k] if k < len(u) else inf)
-        first = [u[0] if u else inf for u in uses]
-        return next_after, first, positions
+def reference_next_use(stream):
+    """``(next_after, first_use)`` by one plain forward scan over the
+    stream -- the independent reference the slab scan is pinned against."""
+    inf = stream.n_positions
+    offsets = [int(x) for x in stream.parent_offsets]
+    pids = [int(x) for x in stream.parent_ids]
+    next_after = [inf] * len(pids)
+    first_use = [inf] * stream.n_ids
+    latest = {}  # id -> index of its latest access so far
+    for pos in range(stream.n_positions):
+        for k in range(offsets[pos], offsets[pos + 1]):
+            pid = pids[k]
+            if pid in latest:
+                next_after[latest[pid]] = pos
+            else:
+                first_use[pid] = pos
+            latest[pid] = k
+    return next_after, first_use
 
+
+class TestNextUseTable:
     @pytest.mark.parametrize("name,params", [
         ("gemm", {"N": 5}), ("atax", {"M": 4, "N": 5}),
         ("jacobi1d", {"N": 8, "T": 3}), ("cholesky", {"N": 5}),
@@ -360,21 +363,14 @@ class TestNextUseTable:
     def test_vectorized_table_matches_use_lists(self, name, params):
         cdag = build_cdag(get_kernel(name).build(), params)
         stream = stream_from_graph(cdag.graph)
-        next_after, first_use, positions = stream.next_use_table()
-        ref_next, ref_first, ref_pos = self.pinned_table(stream)
+        next_after, first_use = stream.next_use_arrays()
+        ref_next, ref_first = reference_next_use(stream)
         assert next_after.tolist() == ref_next
         assert first_use.tolist() == ref_first
-        assert positions.tolist() == ref_pos
 
     def test_table_is_memoized(self):
         stream = stream_from_graph(chain(5))
-        assert stream.next_use_table() is stream.next_use_table()
-
-    def test_uses_by_id_ascending(self):
-        cdag = build_cdag(get_kernel("gemm").build(), {"N": 4})
-        stream = stream_from_graph(cdag.graph)
-        for uses in stream.uses_by_id():
-            assert uses == sorted(uses)
+        assert stream.next_use_arrays() is stream.next_use_arrays()
 
 
 # ---------------------------------------------------------------------------
