@@ -38,6 +38,7 @@ dominator budget and are capped at their full loop extents beforehand.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -45,6 +46,8 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from repro.opt.numeric import NumericSolution, solve_numeric
+from repro.opt.problem import solve_rational
+from repro.symbolic import memo
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile, tile_name
 from repro.util.errors import SolverError
@@ -167,7 +170,7 @@ def solve_chi(
         notes.append(f"capped {capped} at full extents")
 
     if len(constraint) == 0:
-        chi = sp.simplify(objective.expr)
+        chi = memo.simplify(objective.expr)
         tiles = {name: sp.sympify(extents[name]) for name in capped}
         return ChiSolution(chi, tiles, tuple(capped), (), True, tuple(notes))
 
@@ -199,7 +202,7 @@ def solve_chi(
             tiles[name] = sp.sympify(extents[name])
         notes.append(f"degenerate boundary point at {pinned}; interior optimum used")
         return ChiSolution(
-            sp.simplify(interior.chi), tiles, tuple(capped), (), True, tuple(notes)
+            memo.simplify(interior.chi), tiles, tuple(capped), (), True, tuple(notes)
         )
 
     part: _PartSolution | None = None
@@ -220,7 +223,7 @@ def solve_chi(
     for name in capped:
         tiles[name] = sp.sympify(extents[name])
     return ChiSolution(
-        sp.simplify(part.chi),
+        memo.simplify(part.chi),
         tiles,
         tuple(capped),
         part.pinned,
@@ -309,47 +312,42 @@ def _exact_from_guidance(
     #   per variable t:  sum_p a_pt w_p - sum_r e_rt y_r = 0
     #   normalization:   sum_p w_p = 1
     n_obj, n_con = len(reduced_obj), len(reduced_con)
-    rows = []
-    rhs = []
-    for v in free_vars:
-        rows.append(
-            [t.exponent(v) for t in reduced_obj] + [-t.exponent(v) for t in reduced_con]
-        )
-        rhs.append(sp.Integer(0))
-    rows.append([sp.Integer(1)] * n_obj + [sp.Integer(0)] * n_con)
-    rhs.append(sp.Integer(1))
-    matrix = sp.Matrix(rows)
-    target = sp.Matrix(rhs)
+    rows = [
+        [t.exponent(v) for t in reduced_obj] + [-t.exponent(v) for t in reduced_con]
+        for v in free_vars
+    ]
+    rows.append([1] * n_obj + [0] * n_con)
+    rhs = [0] * len(free_vars) + [1]
     hints = list(live_hints) + list(active_hints)
-    wy = _solve_linear_with_hint(matrix, target, hints)
+    wy = _solve_linear_with_hint(rows, rhs, hints)
     if wy is None:
         return None
     w = wy[:n_obj]
     y = wy[n_obj:]
-    if any(sp.simplify(val).is_positive is not True for val in w + y):
+    if any(val <= 0 for val in w + y):
         return None
 
     total_y = sum(y, sp.Integer(0))
-    m_values = [sp.nsimplify(val / total_y) * X_SYM for val in y]
+    m_values = [memo.nsimplify_rational(val / total_y) * X_SYM for val in y]
 
     # u_p = c_p * prod_r (m_r/k_r)^{mu_r}  with  sum_r mu_r e_r = a_p.
-    e_matrix = sp.Matrix([[t.exponent(v) for t in reduced_con] for v in free_vars])
+    e_rows = [[t.exponent(v) for t in reduced_con] for v in free_vars]
     u_values: list[sp.Expr] = []
     for mono in reduced_obj:
-        a_vec = sp.Matrix([mono.exponent(v) for v in free_vars])
-        mu = _solve_linear_with_hint(e_matrix, a_vec, None)
+        a_vec = [mono.exponent(v) for v in free_vars]
+        mu = _solve_linear_with_hint(e_rows, a_vec, None)
         if mu is None:
             return None
         u = mono.coeff
         for m_val, term, mu_r in zip(m_values, reduced_con, mu):
             if mu_r != 0:
                 u *= (m_val / term.coeff) ** mu_r
-        u_values.append(sp.powsimp(sp.simplify(u), force=True))
-    chi = sp.powsimp(sp.simplify(sp.Add(*u_values)), force=True)
+        u_values.append(sp.powsimp(memo.simplify(u), force=True))
+    chi = sp.powsimp(memo.simplify(sp.Add(*u_values)), force=True)
 
     # Cross-check the softmax identity w_p * chi == u_p.
     for w_p, u_p in zip(w, u_values):
-        if sp.simplify(w_p * chi - u_p) != 0:
+        if memo.simplify(w_p * chi - u_p) != 0:
             return None
 
     tiles = _recover_tiles(free_vars, reduced_con, m_values)
@@ -366,45 +364,54 @@ def _exact_from_guidance(
     if all(tile_name(v) in tiles for v in free_vars):
         subs = {tile(n): e for n, e in tiles.items()}
         lhs = leading_in_x(sp.expand(sp.powsimp(constraint.expr.subs(subs), force=True)))
-        if sp.simplify(lhs - X_SYM) != 0:
+        if memo.simplify(lhs - X_SYM) != 0:
             return None
     return _PartSolution(chi, tiles, tuple(pinned), True)
 
 
 def _solve_linear_with_hint(
-    matrix: sp.Matrix,
-    rhs: sp.Matrix,
+    rows: Sequence[Sequence[sp.Rational | int]],
+    rhs: Sequence[sp.Rational | int],
     hint: Sequence[float] | None,
-) -> list[sp.Expr] | None:
-    """Solve ``matrix * v = rhs`` exactly over the rationals.
+) -> list[sp.Rational] | None:
+    """Solve ``rows @ v = rhs`` exactly over the rationals; ``None`` when
+    inconsistent.
 
-    With multiple solutions, free parameters are set from ``hint`` (numeric
-    weights), rationalized via :func:`sympy.nsimplify`, and the chosen
-    particular solution is re-verified exactly.
+    With multiple solutions, the free unknowns (the non-pivot columns of
+    the reduced row echelon form) are set from ``hint`` (numeric weights),
+    rationalized via :func:`sympy.nsimplify`, and to 1/2 where no hint
+    exists; the pivot unknowns follow by back-substitution.
     """
-    n_unknowns = matrix.shape[1]
-    unknowns = list(sp.symbols(f"_y0:{n_unknowns}", real=True))
-    system = matrix * sp.Matrix(unknowns) - rhs
-    solutions = sp.linsolve([sp.Eq(row, 0) for row in system], unknowns)
-    if not solutions:
-        return None
-    solution = next(iter(solutions))
-    free = sorted(
-        {s for expr in solution for s in sp.sympify(expr).free_symbols if s in unknowns},
-        key=lambda s: s.name,
+    values = solve_rational(
+        [[_fraction(x) for x in row] for row in rows],
+        [_fraction(x) for x in rhs],
+        _RationalHints(hint or (), len(rows[0]) if rows else 0),
     )
-    assignment: dict[sp.Symbol, sp.Expr] = {}
-    for sym in free:
-        idx = unknowns.index(sym)
-        if hint is not None and idx < len(hint):
-            assignment[sym] = sp.nsimplify(hint[idx], rational=True, tolerance=1e-3)
-        else:
-            assignment[sym] = sp.Rational(1, 2)
-    values = [sp.nsimplify(sp.sympify(expr).subs(assignment)) for expr in solution]
-    check = matrix * sp.Matrix(values) - rhs
-    if any(sp.simplify(entry) != 0 for entry in check):
+    if values is None:
         return None
-    return values
+    return [sp.Rational(v.numerator, v.denominator) for v in values]
+
+
+def _fraction(value: sp.Rational | int) -> Fraction:
+    value = sp.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+class _RationalHints(SequenceABC):
+    """Per-unknown hints, each rationalized when read: the elimination
+    reads only the hints of the free unknowns, and ``nsimplify`` is slow."""
+
+    def __init__(self, hint: Sequence[float], n_unknowns: int):
+        self._hint = hint
+        self._n = n_unknowns
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, idx: int) -> Fraction:
+        if idx >= len(self._hint):
+            return Fraction(1, 2)
+        return _fraction(sp.nsimplify(self._hint[idx], rational=True, tolerance=1e-3))
 
 
 def _recover_tiles(
@@ -437,7 +444,7 @@ def _recover_tiles(
         if expr.free_symbols & set(logs):
             continue  # undetermined split
         value = sp.powsimp(sp.exp(sp.expand(expr)), force=True)
-        value = sp.simplify(sp.powdenest(value, force=True))
+        value = memo.simplify(sp.powdenest(value, force=True))
         tiles[tile_name(v)] = value
     return tiles
 

@@ -20,6 +20,11 @@ parameters first), while :func:`probe_arrays` takes prebuilt coefficient /
 exponent arrays -- the path the :class:`~repro.opt.problem.ProblemIR`
 backends use, with optional **warm starts** (``x0_seed``) seeded from the
 nearest previously-solved problem class.
+
+SLSQP runs from several starts.  When none of them reports success, a
+start that stalled in the line search at a feasible point stands in for
+the optimum; the much slower trust-constr solver is the last resort, for
+when no start even ends feasible (see :func:`probe_arrays`).
 """
 
 from __future__ import annotations
@@ -30,8 +35,16 @@ import numpy as np
 import sympy as sp
 from scipy import optimize
 
+from repro.obs import current_registry
 from repro.symbolic.posynomial import Posynomial
 from repro.util.errors import SolverError
+
+#: SLSQP exit mode 8, "Positive directional derivative for linesearch": the
+#: line search found no descent although the point may already be optimal
+_SLSQP_LINESEARCH_STALL = 8
+#: constraint slack (log space) a stalled point may violate and still count
+#: as feasible
+_STALL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,10 +106,20 @@ def probe_arrays(
 
     ``x0_seed`` (log tile sizes) warm-starts the first attempt; a converged
     warm start returns immediately, so a good seed costs one SLSQP call
-    instead of ``restarts`` cold attempts.  ``rescue=False`` skips the slow
-    trust-constr fallback when every SLSQP attempt stalls -- callers that
-    will retry with more restarts anyway (the numeric-first fast path) must
-    not pay for the rescue twice.  ``ftol`` is SLSQP's convergence tolerance:
+    instead of ``restarts`` cold attempts.
+
+    Rescue policy, when no SLSQP attempt reports success: an attempt that
+    ended in a line-search stall (exit mode 8) at a feasible point -- finite,
+    within the bounds, constraint slack at least ``-1e-9`` -- has usually
+    reached the optimum and merely cannot certify it (degenerate, nearly
+    linear log-space objectives); the stalled point with the lowest
+    objective is used.  Only when no such point exists does the slow
+    trust-constr rescue run (counted in ``solver_probe_rescues_total``
+    with its convergence flag).  ``rescue=False`` skips both and raises --
+    callers that will retry with the reference schedule anyway (the
+    numeric-first fast path) must not pay for the rescue twice.
+
+    ``ftol`` is SLSQP's convergence tolerance:
     the reference schedule keeps the historical 1e-12, while the fast path
     passes 1e-9 -- on nearly-linear (degenerate) log-space objectives SLSQP
     stalls below double-precision noise at 1e-12 and would needlessly force
@@ -111,24 +134,34 @@ def probe_arrays(
         raise SolverError("empty constraint: chi is unbounded (cap extents first)")
     log_x = np.log(x_value)
     log_c, log_k = np.log(c_obj), np.log(k_con)
+    objective_exp = _SharedExp(log_c, a_obj)
+    constraint_exp = _SharedExp(log_k, e_con)
 
     def neg_log_objective(x: np.ndarray) -> float:
-        return -_logsumexp(log_c + a_obj @ x)
+        return -objective_exp.logsumexp(x)
 
     def neg_log_objective_grad(x: np.ndarray) -> np.ndarray:
-        w = _softmax(log_c + a_obj @ x)
-        return -(a_obj.T @ w)
+        return -(a_obj.T @ objective_exp.softmax(x))
 
     def constraint_slack(x: np.ndarray) -> float:
-        return log_x - _logsumexp(log_k + e_con @ x)
+        return log_x - constraint_exp.logsumexp(x)
 
     def constraint_slack_grad(x: np.ndarray) -> np.ndarray:
-        w = _softmax(log_k + e_con @ x)
-        return -(e_con.T @ w)
+        return -(e_con.T @ constraint_exp.softmax(x))
 
     upper = log_x - float(np.min(log_k)) + 2.0
     default_x0 = np.full(n, min(log_x / max(2.0, n), upper / 2))
+
+    def feasible(x: np.ndarray) -> bool:
+        return bool(
+            np.all(np.isfinite(x))
+            and np.all(x >= 0.0)
+            and np.all(x <= upper)
+            and constraint_slack(x) >= -_STALL_SLACK
+        )
+
     best = None
+    stalled = None  #: lowest-``fun`` feasible point of a status-8 stall
     rng = np.random.default_rng(1234)
     seeded = x0_seed is not None and len(x0_seed) == n
     for trial in range(restarts * 2 + (1 if seeded else 0)):
@@ -151,11 +184,21 @@ def probe_arrays(
         )
         if result.success and (best is None or result.fun < best.fun):
             best = result
+        elif (
+            result.status == _SLSQP_LINESEARCH_STALL
+            and np.isfinite(result.fun)
+            and feasible(result.x)
+            and (stalled is None or result.fun < stalled.fun)
+        ):
+            stalled = result
         if best is not None and (seeded or trial >= restarts - 1):
             break
-    if best is None and rescue:
-        # SLSQP can stall on nearly-degenerate geometries; trust-constr is
-        # slower but markedly more robust.
+    if best is None and rescue and stalled is not None:
+        best = stalled
+    elif best is None and rescue:
+        # No start ended at a feasible point; trust-constr is slower but
+        # markedly more robust on nearly-degenerate geometries.  A capped,
+        # non-converged run still guides the reconstruction: count it.
         constraint_obj = optimize.NonlinearConstraint(
             constraint_slack, 0.0, np.inf,
             jac=lambda x: constraint_slack_grad(x).reshape(1, -1),
@@ -168,6 +211,9 @@ def probe_arrays(
             constraints=[constraint_obj],
             method="trust-constr",
             options={"maxiter": 2000, "gtol": 1e-12, "xtol": 1e-14},
+        )
+        current_registry().inc(
+            "solver_probe_rescues_total", converged=str(bool(result.success)).lower()
         )
         if result.fun is not None and np.isfinite(result.fun):
             best = result
@@ -229,11 +275,33 @@ def solve_numeric(
     )
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = float(np.max(values))
-    return top + float(np.log(np.sum(np.exp(values - top))))
+class _SharedExp:
+    """``exp(log_coeffs + matrix @ x - max)`` computed once per ``x``.
 
+    SLSQP asks for the value and the gradient at the same point; both
+    callbacks read the one shifted exponential, so each pair costs one
+    matrix product and one ``exp`` instead of two.
+    """
 
-def _softmax(values: np.ndarray) -> np.ndarray:
-    shifted = np.exp(values - np.max(values))
-    return shifted / np.sum(shifted)
+    def __init__(self, log_coeffs: np.ndarray, matrix: np.ndarray):
+        self._log_coeffs = log_coeffs
+        self._matrix = matrix
+        self._key: bytes | None = None
+        self._top = 0.0
+        self._shifted: np.ndarray | None = None
+
+    def _at(self, x: np.ndarray) -> None:
+        key = x.tobytes()
+        if key != self._key:
+            values = self._log_coeffs + self._matrix @ x
+            self._top = float(values.max())
+            self._shifted = np.exp(values - self._top)
+            self._key = key
+
+    def logsumexp(self, x: np.ndarray) -> float:
+        self._at(x)
+        return self._top + float(np.log(self._shifted.sum()))
+
+    def softmax(self, x: np.ndarray) -> np.ndarray:
+        self._at(x)
+        return self._shifted / self._shifted.sum()

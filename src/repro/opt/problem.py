@@ -21,9 +21,9 @@ lossless (:meth:`ProblemIR.from_posynomials` / :meth:`ProblemIR.objective`).
 
 The module also provides exact linear algebra over the rationals
 (:func:`solve_rational`, :func:`nullspace_rational`): plain Gaussian
-elimination on ``Fraction`` entries, which the numeric-first backend uses to
-run the KKT reconstruction without sympy's ``linsolve``/``simplify`` on the
-hot path.
+elimination on ``Fraction`` entries.  Both backends solve their KKT
+stationarity systems with it; the numeric-first backend runs its whole
+reconstruction without sympy's ``linsolve``/``simplify`` on the hot path.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ retained in ``rho_exact`` for small-S evaluation (pebbling validation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import sympy as sp
 
 from repro.opt.kkt import ChiSolution, degree_in_x, leading_in_x
 from repro.symbolic.asymptotics import leading_term
+from repro.symbolic.memo import memoized, nsimplify_rational, simplify
 from repro.symbolic.symbols import S_SYM, X_SYM
 from repro.util.errors import SolverError
 
@@ -49,10 +50,21 @@ class IntensityResult:
 
 def intensity_from_chi(solution: ChiSolution) -> IntensityResult:
     """Minimize ``chi(X)/(X-S)`` over ``X > S``."""
-    chi = sp.expand(solution.chi)
+    core = _intensity(solution.chi)
+    return replace(
+        core, chi_solution=solution, notes=tuple(solution.notes) + core.notes
+    )
+
+
+@memoized
+def _intensity(chi: sp.Expr) -> IntensityResult:
+    """The part of :func:`intensity_from_chi` that depends on ``chi`` alone
+    (no ``chi_solution``; ``notes`` holds only this step's notes).  Callers
+    get a copy: the memoized instance never escapes."""
+    chi = sp.expand(chi)
     lead = leading_in_x(chi)
     alpha = degree_in_x(lead)
-    notes = list(solution.notes)
+    notes: tuple[str, ...] = ()
 
     if alpha < 1:
         raise SolverError(
@@ -61,23 +73,22 @@ def intensity_from_chi(solution: ChiSolution) -> IntensityResult:
         )
 
     if alpha == 1:
-        coeff = sp.simplify(lead / X_SYM)
-        rho = sp.simplify(coeff)
+        coeff = simplify(lead / X_SYM)
+        rho = simplify(coeff)
         rho_exact = rho
         x0 = sp.oo
-        notes.append("alpha == 1: intensity approached as X -> oo")
+        notes = ("alpha == 1: intensity approached as X -> oo",)
     else:
-        x0 = sp.nsimplify(alpha / (alpha - 1)) * S_SYM
-        rho_exact = sp.simplify(chi.subs(X_SYM, x0) / (x0 - S_SYM))
+        x0 = nsimplify_rational(alpha / (alpha - 1)) * S_SYM
+        rho_exact = simplify(chi.subs(X_SYM, x0) / (x0 - S_SYM))
         rho = leading_term(rho_exact)
     return IntensityResult(
-        rho=sp.simplify(rho),
+        rho=simplify(rho),
         rho_exact=rho_exact,
         x0=x0,
         chi=chi,
         alpha=sp.Rational(alpha),
-        chi_solution=solution,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -85,6 +96,7 @@ _LARGE_S = sp.Integer(2) ** 40
 _LARGE_PARAM = sp.Integer(10) ** 9
 
 
+@memoized
 def compare_intensity(a: sp.Expr, b: sp.Expr) -> int:
     """Order two intensities for large ``S`` (and large parameters).
 
@@ -92,7 +104,7 @@ def compare_intensity(a: sp.Expr, b: sp.Expr) -> int:
     ``max_{H in S(A)} rho_H``; ties in growth rate are broken by the constant
     factor.
     """
-    ratio = sp.simplify(sp.Rational(1) * a / b)
+    ratio = simplify(sp.Rational(1) * a / b)
     if ratio.free_symbols <= {S_SYM}:
         limit = sp.limit(ratio, S_SYM, sp.oo)
     else:
@@ -105,7 +117,7 @@ def compare_intensity(a: sp.Expr, b: sp.Expr) -> int:
         return 1
     if limit == 0:
         return -1
-    value = sp.simplify(limit)
+    value = simplify(limit)
     if value == 1:
         return 0
     try:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import sympy as sp
 
+from repro.symbolic.memo import simplify
 from repro.symbolic.symbols import S_SYM
 
 
@@ -71,7 +72,7 @@ def leading_term(expr: sp.Expr, large: Iterable[sp.Symbol] = ()) -> sp.Expr:
     """
     expanded = sp.expand(sp.radsimp(sp.together(sp.expand(expr))))
     if expanded.func is not sp.Add:
-        return sp.nsimplify(sp.simplify(expr))
+        return sp.nsimplify(simplify(expr))
     params = _parameter_symbols(expanded, large)
     addends = list(expanded.args)
     keys = [_term_exponents(t, params) for t in addends]
@@ -80,7 +81,7 @@ def leading_term(expr: sp.Expr, large: Iterable[sp.Symbol] = ()) -> sp.Expr:
         for t, k in zip(addends, keys)
         if not any(_dominates(other, k) for other in keys)
     ]
-    return sp.simplify(sp.Add(*kept))
+    return simplify(sp.Add(*kept))
 
 
 def ratio_to(ours: sp.Expr, reference: sp.Expr) -> sp.Expr:
@@ -89,7 +90,7 @@ def ratio_to(ours: sp.Expr, reference: sp.Expr) -> sp.Expr:
     A numeric (parameter-free) ratio indicates the two bounds have the same
     *shape* and differ only by a constant factor.
     """
-    return sp.simplify(sp.nsimplify(sp.simplify(ours / reference), rational=False))
+    return simplify(sp.nsimplify(simplify(ours / reference), rational=False))
 
 
 def same_leading_shape(ours: sp.Expr, reference: sp.Expr) -> bool:

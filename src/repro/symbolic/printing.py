@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import sympy as sp
 
+from repro.symbolic.memo import simplify
+
 
 def bound_str(expr: sp.Expr) -> str:
     """Render a bound expression compactly and deterministically."""
-    simplified = sp.radsimp(sp.nsimplify(sp.simplify(expr), rational=False))
+    simplified = sp.radsimp(sp.nsimplify(simplify(expr), rational=False))
     try:
         simplified = sp.factor_terms(simplified)
     except Exception:  # pragma: no cover - factor_terms is best effort
@@ -24,4 +26,4 @@ def bound_str(expr: sp.Expr) -> str:
 
 def latex_bound(expr: sp.Expr) -> str:
     """LaTeX rendering (used by the Table-2 report generator)."""
-    return sp.latex(sp.radsimp(sp.simplify(expr)))
+    return sp.latex(sp.radsimp(simplify(expr)))

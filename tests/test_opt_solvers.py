@@ -2,12 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from repro.opt.kkt import ChiSolution, degree_in_x, leading_in_x, solve_chi
-from repro.opt.numeric import solve_numeric
+from repro.obs import default_registry
+from repro.opt.kkt import (
+    ChiSolution,
+    _solve_linear_with_hint,
+    degree_in_x,
+    leading_in_x,
+    solve_chi,
+)
+from repro.opt.numeric import probe_arrays, solve_numeric
 from repro.opt.rho import compare_intensity, intensity_from_chi
 from repro.opt.tiling import tiles_at_x0
 from repro.symbolic.posynomial import Monomial, Posynomial
@@ -47,6 +56,132 @@ class TestNumeric:
         con = Posynomial([Monomial.make(-1, {bi: 1})])
         with pytest.raises(SolverError):
             solve_numeric(_posy(bi, [bi]), con, 1e6)
+
+
+class TestProbeRescue:
+    """The trust-constr rescue runs only when no SLSQP start ends feasible."""
+
+    # deriche: maximize 2*b0*b1 subject to 2*b0*b1 + 2*b0 <= X -- every
+    # SLSQP start reaches the optimum but exits in a line-search stall
+    DERICHE = (
+        np.array([2.0]),
+        np.array([[1.0, 1.0]]),
+        np.array([2.0, 2.0]),
+        np.array([[1.0, 0.0], [1.0, 1.0]]),
+    )
+
+    @staticmethod
+    def _spy(monkeypatch, slsqp=None):
+        """Record the method of every ``minimize`` call; ``slsqp`` replaces
+        the SLSQP runs."""
+        methods: list[str] = []
+        real = optimize.minimize
+
+        def recording(*args, **kwargs):
+            methods.append(kwargs["method"])
+            if slsqp is not None and kwargs["method"] == "SLSQP":
+                return slsqp(*args, **kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", recording)
+        return methods
+
+    def test_feasible_stall_skips_trust_constr(self, monkeypatch):
+        methods = self._spy(monkeypatch)
+        x_value = 1e9
+        probe = probe_arrays(*self.DERICHE, x_value)
+        assert probe.active == (False, True)
+        assert probe.objective_value >= x_value - 2 - 1e-3
+        assert "SLSQP" in methods
+        assert "trust-constr" not in methods
+
+    def test_infeasible_stalls_reach_trust_constr(self, monkeypatch):
+        def infeasible_stall(fun, x0, **kwargs):
+            x = np.full(len(x0), 20.0)  # within bounds, far over the budget
+            return optimize.OptimizeResult(
+                x=x, fun=fun(x), status=8, success=False,
+                message="Positive directional derivative for linesearch",
+            )
+
+        methods = self._spy(monkeypatch, slsqp=infeasible_stall)
+        before = default_registry().counter_total("solver_probe_rescues_total")
+        probe = probe_arrays(*self.DERICHE, 1e9)
+        assert methods.count("trust-constr") == 1
+        assert default_registry().counter_total("solver_probe_rescues_total") == before + 1
+        assert probe.active[1] is True
+
+    def test_no_rescue_raises_on_stall(self, monkeypatch):
+        self._spy(monkeypatch)
+        with pytest.raises(SolverError):
+            probe_arrays(*self.DERICHE, 1e9, rescue=False)
+
+
+def _linsolve_reference(rows, rhs, hint):
+    """The symbolic ``sympy.linsolve`` formulation of
+    :func:`repro.opt.kkt._solve_linear_with_hint`, kept as an oracle."""
+    matrix, target = sp.Matrix(rows), sp.Matrix(rhs)
+    n_unknowns = matrix.shape[1]
+    unknowns = list(sp.symbols(f"_y0:{n_unknowns}", real=True))
+    system = matrix * sp.Matrix(unknowns) - target
+    # expressions, not Eq(row, 0): an all-zero row would collapse to a bool
+    solutions = sp.linsolve(list(system), unknowns)
+    if not solutions:
+        return None
+    solution = next(iter(solutions))
+    free = sorted(
+        {s for expr in solution for s in sp.sympify(expr).free_symbols if s in unknowns},
+        key=lambda s: s.name,
+    )
+    assignment = {}
+    for sym in free:
+        idx = unknowns.index(sym)
+        if hint is not None and idx < len(hint):
+            assignment[sym] = sp.nsimplify(hint[idx], rational=True, tolerance=1e-3)
+        else:
+            assignment[sym] = sp.Rational(1, 2)
+    values = [sp.nsimplify(sp.sympify(expr).subs(assignment)) for expr in solution]
+    check = matrix * sp.Matrix(values) - target
+    if any(sp.simplify(entry) != 0 for entry in check):
+        return None
+    return values
+
+
+@st.composite
+def _linear_systems(draw):
+    """Small integer systems: random (mostly full rank), rank-deficient (a
+    row that is the sum of two others) or inconsistent (that row, off by 1)."""
+    kind = draw(st.sampled_from(["random", "dependent", "inconsistent"]))
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    rhs = [draw(entry) for _ in range(n_rows)]
+    if kind != "random":
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
+        rhs.append(rhs[i] + rhs[j] + (1 if kind == "inconsistent" else 0))
+    hint = draw(st.none() | st.lists(st.floats(0.001, 4.0), max_size=n_cols))
+    return kind, rows, rhs, hint
+
+
+@given(system=_linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_rational_linear_solve_matches_linsolve(system):
+    kind, rows, rhs, hint = system
+    ours = _solve_linear_with_hint(
+        [[sp.Integer(x) for x in row] for row in rows], [sp.Integer(b) for b in rhs], hint
+    )
+    reference = _linsolve_reference(rows, rhs, hint)
+    if kind == "inconsistent":
+        assert ours is None
+    if ours is None or reference is not None:
+        assert ours == reference
+    else:
+        # The oracle ends with nsimplify, which can snap a large-denominator
+        # value to a nearby simple rational; its re-check then rejects the
+        # snapped vector.  The rational path returns the exact solution.
+        assert ours is not None
+        assert sp.Matrix(rows) * sp.Matrix(ours) == sp.Matrix(rhs)
+        assert [sp.nsimplify(v) for v in ours] != ours
 
 
 class TestSolveChiCanonical:
