@@ -7,7 +7,10 @@ graph (not once per engine per S) is what keeps a multi-engine tightness
 sweep within the benchmark gate, so the facts live in a
 :class:`weakref.WeakKeyDictionary` keyed by the ``networkx.DiGraph``
 itself (``ConcreteCDAG`` is an unhashable dataclass; its graph is the
-stable identity).
+stable identity).  They are derived with array operations from the graph's
+integer index (:func:`repro.cdag.index.graph_index`: CSR adjacency,
+degrees, topological order and levels), which the schedule builders share,
+so no consumer walks the graph vertex by vertex.
 
 The floor is the one bound every engine can always fall back to::
 
@@ -29,6 +32,9 @@ import weakref
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
+
+from repro.cdag.index import graph_index, segment_gather
 
 
 @dataclass(frozen=True)
@@ -74,41 +80,46 @@ def graph_facts(graph: nx.DiGraph) -> GraphFacts:
 
 
 def _build_facts(graph: nx.DiGraph) -> GraphFacts:
-    nodes = list(nx.topological_sort(graph))
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    preds = tuple(
-        tuple(sorted(index[p] for p in graph.predecessors(node)))
-        for node in nodes
-    )
-    succs = tuple(
-        tuple(sorted(index[s] for s in graph.successors(node)))
-        for node in nodes
-    )
-    in_deg = tuple(len(p) for p in preds)
-    out_deg = tuple(len(s) for s in succs)
-    floor = sum(1 for i in range(n) if in_deg[i] == 0 and out_deg[i] > 0)
-    floor += sum(1 for i in range(n) if in_deg[i] > 0 and out_deg[i] == 0)
-    level = [0] * n
-    for i in range(n):  # topo order: parents already leveled
-        if preds[i]:
-            level[i] = 1 + max(level[p] for p in preds[i])
-    computed = tuple(i for i in range(n) if in_deg[i] > 0)
-    n_levels = len({level[i] for i in computed})
+    index = graph_index(graph)
+    index.require_dag()
+    n = index.n
+    # vertices are renumbered by topological position
+    position = np.empty(n, dtype=np.int64)
+    position[index.topo] = np.arange(n, dtype=np.int64)
+    in_deg = index.in_deg[index.topo]
+    out_deg = index.out_deg[index.topo]
+    preds = _sorted_lists(position, index.pred_ptr, index.pred_idx, index.topo)
+    succs = _sorted_lists(position, index.succ_ptr, index.succ_idx, index.topo)
+    floor = int(np.count_nonzero((in_deg == 0) & (out_deg > 0)))
+    floor += int(np.count_nonzero((in_deg > 0) & (out_deg == 0)))
+    level = index.level[index.topo]
+    computed = np.nonzero(in_deg > 0)[0]
     return GraphFacts(
         n_vertices=n,
         topo=tuple(range(n)),
         preds=preds,
         succs=succs,
-        in_deg=in_deg,
-        out_deg=out_deg,
-        max_in_degree=max(in_deg, default=0),
-        max_out_degree=max(out_deg, default=0),
+        in_deg=tuple(in_deg.tolist()),
+        out_deg=tuple(out_deg.tolist()),
+        max_in_degree=int(in_deg.max(initial=0)),
+        max_out_degree=int(out_deg.max(initial=0)),
         floor=floor,
-        computed=computed,
-        level=tuple(level),
-        n_levels=n_levels,
+        computed=tuple(computed.tolist()),
+        level=tuple(level.tolist()),
+        n_levels=len(np.unique(level[computed])),
     )
+
+
+def _sorted_lists(position, ptr, idx, topo) -> tuple[tuple[int, ...], ...]:
+    """Per vertex in topological order, its CSR neighbours' topological
+    positions, ascending."""
+    flat = position[idx[segment_gather(ptr, topo)]]
+    counts = ptr[topo + 1] - ptr[topo]
+    owner = np.repeat(np.arange(len(topo), dtype=np.int64), counts)
+    flat = flat[np.lexsort((flat, owner))].tolist()
+    ends = np.cumsum(counts).tolist()
+    slices = map(slice, [0] + ends[:-1], ends)
+    return tuple(map(tuple, map(flat.__getitem__, slices)))
 
 
 def io_floor(graph: nx.DiGraph) -> int:

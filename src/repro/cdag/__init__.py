@@ -6,6 +6,9 @@ small instances:
 
 * :mod:`repro.cdag.build`     -- materialize the CDAG of an IR program for
   concrete parameter values (paper Figure 2's explicit graph);
+* :mod:`repro.cdag.index`     -- the cached integer index of a graph (CSR
+  adjacency, degrees, topological order, levels) that schedules, streams
+  and bound engines read instead of walking networkx;
 * :mod:`repro.cdag.dominator` -- minimum dominator sets via max-flow
   (vertex-split min vertex cut) and minimum sets ``Min(H)``;
 * :mod:`repro.cdag.counting`  -- brute-force access-set/union counting used

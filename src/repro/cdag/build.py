@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import networkx as nx
@@ -63,6 +64,16 @@ class ConcreteCDAG:
         """
         entry = self.points.get(vertex)
         return entry[1] if entry is not None else None
+
+    @cached_property
+    def statement_positions(self) -> dict[str, int]:
+        """Statement name -> program position (first appearance in
+        :attr:`points`); computed once per CDAG."""
+        positions: dict[str, int] = {}
+        for name, _ in self.points.values():
+            if name not in positions:
+                positions[name] = len(positions)
+        return positions
 
     def statement_of(self, vertex: Vertex) -> str | None:
         """Name of the statement that computed ``vertex`` (``None`` for inputs)."""

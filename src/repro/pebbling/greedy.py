@@ -21,10 +21,15 @@ topological order, closing the loop of the paper's pipeline: derived tiling
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import operator
 from typing import Callable, Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
+from repro.cdag.index import graph_index
 from repro.pebbling.game import Move, replay
 from repro.util.errors import PebblingError
 
@@ -34,8 +39,9 @@ NEVER = 1 << 60
 
 def default_order(graph: nx.DiGraph) -> list[Hashable]:
     """The schedule used when none is given: topological, inputs excluded."""
-    inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
-    return [v for v in nx.topological_sort(graph) if v not in inputs]
+    index = graph_index(graph)
+    nodes = index.nodes
+    return [nodes[i] for i in index.computed_topo().tolist()]
 
 
 def stream_vertex_ids(
@@ -44,9 +50,11 @@ def stream_vertex_ids(
     """Deterministic integer ids: first appearance in the access stream.
 
     Scanning ``order``, each computed vertex's parents (in predecessor
-    order) are numbered on first use, then the vertex itself.  Both the
-    greedy pebbler and :func:`repro.schedule.stream.stream_from_graph` use
-    this rule, so their eviction tie-breaks agree exactly.
+    order) are numbered on first use, then the vertex itself.  This is the
+    greedy pebbler's own, independent numbering;
+    :func:`repro.schedule.stream.stream_from_graph` reaches the same ids by
+    factorizing the flat access array, so their eviction tie-breaks agree
+    exactly.
     """
     ids: dict[Hashable, int] = {}
     for v in order:
@@ -178,45 +186,117 @@ def tiled_order(
 
     ``point_of`` maps a vertex to its iteration point (``None`` for inputs);
     use :meth:`repro.cdag.build.ConcreteCDAG.point_of` for the generic
-    mapping recorded at CDAG construction.  Vertices are sorted by (tile
-    coordinates, statement rank, intra-tile coordinates) and the result is
-    repaired into a topological order by a stable Kahn pass that prefers the
-    blocked sequence.  ``statement_rank`` orders statements sharing a tile
-    (program order for multi-statement kernels); it defaults to 0.
+    mapping recorded at CDAG construction.  Computed vertices are ranked by
+    (tile coordinates, statement rank, intra-tile coordinates) with one
+    ``numpy.lexsort`` (ties keep graph order); when that sequence already
+    respects every edge it is the order, otherwise a Kahn pass that always
+    takes the ready vertex of lowest rank repairs it into a topological
+    order (see :func:`blocked_topological_order`).  ``statement_rank``
+    orders statements sharing a tile (program order for multi-statement
+    kernels); it defaults to 0.
     """
-    inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
+    return blocked_topological_order(
+        graph, point_of, tile_sizes, variable_order,
+        statement_rank=statement_rank,
+    )[0]
 
-    def key(vertex: Hashable):
-        point = point_of(vertex) or {}
-        tiles = tuple(
-            point.get(var, 0) // max(1, tile_sizes.get(var, 1))
-            for var in variable_order
-        )
-        rank = statement_rank(vertex) if statement_rank is not None else 0
-        intra = tuple(point.get(var, 0) for var in variable_order)
-        return (tiles, rank, intra)
 
-    preferred = sorted((v for v in graph.nodes if v not in inputs), key=key)
-    rank = {v: i for i, v in enumerate(preferred)}
+def blocked_topological_order(
+    graph: nx.DiGraph,
+    point_of: Callable[[Hashable], Mapping[str, int] | None],
+    tile_sizes: Mapping[str, int],
+    variable_order: Sequence[str],
+    *,
+    statement_rank: Callable[[Hashable], int] | None = None,
+) -> tuple[list[Hashable], bool]:
+    """``(order, repaired)``: :func:`tiled_order` plus whether the blocked
+    sequence broke an edge and went through the lowest-rank-first Kahn
+    repair."""
+    index = graph_index(graph)
+    nodes = index.nodes
+    computed = np.nonzero(index.in_deg > 0)[0]
+    vertices = list(map(nodes.__getitem__, computed.tolist()))
+    m = len(vertices)
+    columns = _point_columns(list(map(point_of, vertices)), variable_order)
+    tiles, intra = [], []
+    for var in variable_order:
+        column = columns.get(var)
+        if column is None:
+            continue  # an all-zero column never separates two vertices
+        tiles.append(column // max(1, tile_sizes.get(var, 1)))
+        intra.append(column)
+    ranks = []
+    if statement_rank is not None:
+        column = np.fromiter(map(statement_rank, vertices), dtype=np.int64, count=m)
+        if column.any():
+            ranks.append(column)
+    keys = tiles + ranks + intra
+    # lexsort's last key is the primary one; it is stable, like sorted()
+    preferred = computed[np.lexsort(keys[::-1])] if keys else computed
+    rank = np.full(index.n, -1, dtype=np.int64)
+    rank[preferred] = np.arange(m, dtype=np.int64)
+    src, dst = index.edges()
+    internal = index.in_deg[src] > 0  # edges out of inputs never constrain
+    src_rank = rank[src[internal]]
+    dst_rank = rank[dst[internal]]
+    repaired = not bool(np.all(src_rank < dst_rank))
+    if repaired:
+        preferred = preferred[_kahn_by_rank(m, src_rank, dst_rank)]
+    return list(map(nodes.__getitem__, preferred.tolist())), repaired
 
-    import heapq
 
-    indegree = {
-        v: sum(1 for p in graph.predecessors(v) if p not in inputs)
-        for v in graph.nodes
-        if v not in inputs
-    }
-    ready = [(rank[v], v) for v, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    out: list[Hashable] = []
+def _point_columns(
+    points: Sequence[Mapping[str, int] | None], variables: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """One int column per variable of ``variables`` over ``points`` (0 where
+    a point lacks the variable or is ``None``); all-zero columns are left
+    out.  Points sharing a key layout (one statement's variables) are
+    filled as one matrix."""
+    m = len(points)
+    layouts = [tuple(p) if p is not None else () for p in points]
+    code = {layout: c for c, layout in enumerate(dict.fromkeys(layouts))}
+    codes = np.fromiter(map(code.__getitem__, layouts), dtype=np.int64, count=m)
+    wanted = set(variables)
+    values_of = operator.methodcaller("values")
+    columns: dict[str, np.ndarray] = {}
+    for layout, c in code.items():
+        picked = [(j, var) for j, var in enumerate(layout) if var in wanted]
+        if not picked:
+            continue
+        rows = np.nonzero(codes == c)[0]
+        group = map(points.__getitem__, rows.tolist())
+        matrix = np.fromiter(
+            itertools.chain.from_iterable(map(values_of, group)),
+            dtype=np.int64, count=len(rows) * len(layout),
+        ).reshape(len(rows), len(layout))
+        for j, var in picked:
+            if matrix[:, j].any():
+                column = columns.setdefault(var, np.zeros(m, dtype=np.int64))
+                column[rows] = matrix[:, j]
+    return columns
+
+
+def _kahn_by_rank(
+    m: int, src_rank: np.ndarray, dst_rank: np.ndarray
+) -> np.ndarray:
+    """Topological order of ``0..m-1`` that always takes the lowest ready
+    rank (the stable repair of a nearly topological sequence)."""
+    by_src = np.argsort(src_rank, kind="stable")
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src_rank, minlength=m), out=ptr[1:])
+    succ = dst_rank[by_src].tolist()
+    ptr = ptr.tolist()
+    indegree = np.bincount(dst_rank, minlength=m).tolist()
+    ready = [r for r in range(m) if indegree[r] == 0]  # sorted: a heap
+    out: list[int] = []
+    pop, push, emit = heapq.heappop, heapq.heappush, out.append
     while ready:
-        _, v = heapq.heappop(ready)
-        out.append(v)
-        for child in graph.successors(v):
-            if child in indegree:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, (rank[child], child))
-    if len(out) != len(indegree):
+        r = pop(ready)
+        emit(r)
+        for child in succ[ptr[r]:ptr[r + 1]]:
+            indegree[child] -= 1
+            if not indegree[child]:
+                push(ready, child)
+    if len(out) != m:
         raise PebblingError("cycle detected while building tiled order")
-    return out
+    return np.asarray(out, dtype=np.int64)

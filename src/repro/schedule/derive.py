@@ -22,8 +22,10 @@ from typing import Hashable, Mapping
 
 from repro.cdag.build import ConcreteCDAG, extent_values
 from repro.ir.program import Program
+from repro.obs import current_registry
+from repro.obs import span as obs_span
 from repro.opt.tiling import concrete_tiles_at_x0
-from repro.pebbling.greedy import tiled_order
+from repro.pebbling.greedy import blocked_topological_order, default_order
 from repro.sdg.bounds import ProgramBound
 from repro.util import unique_in_order
 from repro.util.errors import SoapError
@@ -160,26 +162,34 @@ def blocked_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> list[Hashable]
     """Blocked topological order of ``cdag`` under ``schedule``.
 
     Uses the iteration points recorded on the CDAG (the generic vertex ->
-    point mapping) and ranks statements sharing a tile by program position.
-    Returns the default topological order for untiled schedules.
+    point mapping) and ranks statements sharing a tile by program position
+    (:attr:`ConcreteCDAG.statement_positions`).  Returns the default
+    topological order for untiled schedules.  Records a ``schedule.order``
+    span and, for tiled schedules, counts
+    ``schedule_order_repairs_total{repaired}``: whether the blocked sequence
+    needed the Kahn repair.
     """
-    if not schedule.tiled:
-        from repro.pebbling.greedy import default_order
+    with obs_span("schedule.order", tiled=schedule.tiled) as order_span:
+        if not schedule.tiled:
+            order = default_order(cdag.graph)
+            order_span.note(vertices=len(order), repaired=False)
+            return order
+        statement_pos = cdag.statement_positions
+        points = cdag.points
 
-        return default_order(cdag.graph)
-    statement_pos: dict[str, int] = {}
-    for vertex, (st_name, _) in cdag.points.items():
-        if st_name not in statement_pos:
-            statement_pos[st_name] = len(statement_pos)
+        def rank(vertex: Hashable) -> int:
+            entry = points.get(vertex)
+            return statement_pos[entry[0]] if entry is not None else 0
 
-    def rank(vertex: Hashable) -> int:
-        entry = cdag.points.get(vertex)
-        return statement_pos.get(entry[0], 0) if entry is not None else 0
-
-    return tiled_order(
-        cdag.graph,
-        cdag.point_of,
-        schedule.tile_sizes,
-        schedule.variable_order,
-        statement_rank=rank,
-    )
+        order, repaired = blocked_topological_order(
+            cdag.graph,
+            cdag.point_of,
+            schedule.tile_sizes,
+            schedule.variable_order,
+            statement_rank=rank,
+        )
+        order_span.note(vertices=len(order), repaired=repaired)
+        current_registry().inc(
+            "schedule_order_repairs_total", repaired=str(repaired).lower()
+        )
+        return order

@@ -3,9 +3,10 @@
 An :class:`AccessStream` is the memory traffic of one schedule in struct-of-
 arrays form: for every computed vertex, in execution order, the integer ids
 of its parents plus its own id.  Ids are first-appearance positions in the
-stream (:func:`repro.pebbling.greedy.stream_vertex_ids`), so the stream and
-the mutating :class:`~repro.pebbling.game.PebbleGame` path agree on eviction
-tie-breaks exactly.
+stream (:func:`_first_appearance_ids`, the numbering
+:func:`repro.pebbling.greedy.stream_vertex_ids` gives the greedy pebbler),
+so the stream and the mutating :class:`~repro.pebbling.game.PebbleGame`
+path agree on eviction tie-breaks exactly.
 
 All stream fields are numpy integer arrays, and the expensive derived
 structure -- the next-use arrays consumed by Belady replay and write-back
@@ -17,7 +18,11 @@ recomputes it.  Peak extra memory of the scan is O(slab + id space).
 Two builders:
 
 * :func:`stream_from_graph` -- from a materialized CDAG and a topological
-  order; works for any program, costs one pass over the edges.
+  order; works for any program.  Array operations over the graph's cached
+  integer index (:func:`repro.cdag.index.graph_index`): the order is
+  checked for legality with ``bincount`` and a rank comparison over the
+  edge arrays, parents are gathered through the predecessor CSR, and ids
+  come from the same first-appearance factorization as the IR builder.
 * :func:`single_statement_stream` -- straight from the IR for
   single-statement self-update kernels (gemm, syrk, jacobi-style sweeps
   collapse to this shape after versioning): no graph is ever materialized.
@@ -41,9 +46,9 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
+from repro.cdag.index import GraphIndex, graph_index, segment_gather
 from repro.ir.program import Program
 from repro.obs import span as obs_span
-from repro.pebbling.greedy import default_order, stream_vertex_ids
 from repro.util.errors import PebblingError, SoapError
 
 #: default positions per chunk for the IR builder, next-use scan and replay
@@ -198,53 +203,85 @@ class AccessStream:
 def stream_from_graph(
     graph: nx.DiGraph, order: Sequence[Hashable] | None = None
 ) -> AccessStream:
-    """Flatten a CDAG + topological order into an :class:`AccessStream`."""
-    inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
+    """Flatten a CDAG + topological order into an :class:`AccessStream`.
+
+    ``order`` defaults to :func:`repro.pebbling.greedy.default_order`.  An
+    explicit order must list every computed (in-degree > 0) vertex exactly
+    once, no input, and every vertex after its computed parents; anything
+    else raises :class:`PebblingError` naming the offending vertex.
+    """
+    index = graph_index(graph)
     if order is None:
-        order = default_order(graph)
+        seq = index.computed_topo()
     else:
-        order = list(order)
-        if len(order) != graph.number_of_nodes() - len(inputs):
-            raise PebblingError(
-                "order must cover every computed vertex exactly once"
-            )
-    ids = stream_vertex_ids(graph, order)
+        seq = _checked_order(index, order)
+    n_positions = len(seq)
+    parent_offsets = np.zeros(n_positions + 1, dtype=np.int64)
+    np.cumsum(index.in_deg[seq], out=parent_offsets[1:])
+    parents = index.pred_idx[segment_gather(index.pred_ptr, seq)]
 
-    # One pass over the edges collecting plain Python lists (the graph walk
-    # itself is the cost here), then a single bulk conversion to arrays.
-    offsets = [0]
-    parent_ids: list[int] = []
-    computed_ids: list[int] = []
-    store_positions: list[int] = []
-    labels: list = [None] * len(ids)
-    for vertex, vid in ids.items():
-        labels[vid] = vertex
-
-    for pos, v in enumerate(order):
-        parent_ids.extend(ids[parent] for parent in graph.predecessors(v))
-        offsets.append(len(parent_ids))
-        computed_ids.append(ids[v])
-        if graph.out_degree(v) == 0:
-            store_positions.append(pos)
-
-    store_at_compute = np.zeros(len(order), dtype=np.uint8)
-    if store_positions:
-        store_at_compute[store_positions] = 1
-    starts_blue = np.zeros(len(ids), dtype=np.uint8)
-    blue_ids = [ids[v] for v in inputs if v in ids]  # isolated inputs never enter
-    if blue_ids:
-        starts_blue[blue_ids] = 1
+    # each computed vertex follows its parents; ids number first appearances
+    compute_slot = parent_offsets[1:] + np.arange(n_positions, dtype=np.int64)
+    is_parent = np.ones(len(parents) + n_positions, dtype=bool)
+    is_parent[compute_slot] = False
+    accesses = np.empty(len(is_parent), dtype=np.int64)
+    accesses[is_parent] = parents
+    accesses[compute_slot] = seq
+    ids, vertex_of_id = _first_appearance_ids(accesses, index.n)
 
     return AccessStream(
-        n_positions=len(order),
-        n_ids=len(ids),
-        parent_offsets=np.asarray(offsets, dtype=np.int64),
-        parent_ids=np.asarray(parent_ids, dtype=np.int64),
-        computed_ids=np.asarray(computed_ids, dtype=np.int64),
-        starts_blue=starts_blue,
-        store_at_compute=store_at_compute,
-        labels=labels,
+        n_positions=n_positions,
+        n_ids=len(vertex_of_id),
+        parent_offsets=parent_offsets,
+        parent_ids=ids[is_parent],
+        computed_ids=ids[compute_slot],
+        starts_blue=(index.in_deg[vertex_of_id] == 0).astype(np.uint8),
+        store_at_compute=(index.out_deg[seq] == 0).astype(np.uint8),
+        labels=list(map(index.nodes.__getitem__, vertex_of_id.tolist())),
     )
+
+
+def _checked_order(index: GraphIndex, order: Sequence[Hashable]) -> np.ndarray:
+    """Vertex ids of ``order``, rejecting any order that is not a legal
+    schedule of the computed vertices."""
+    nodes = index.nodes
+    position = dict(zip(nodes, range(index.n)))
+    try:
+        seq = np.fromiter(map(position.__getitem__, order), dtype=np.int64)
+    except KeyError as err:
+        raise PebblingError(
+            f"order names {err.args[0]!r}, which is not a vertex of the graph"
+        ) from None
+    del position
+    is_input = index.in_deg[seq] == 0
+    if is_input.any():
+        vertex = nodes[seq[np.argmax(is_input)]]
+        raise PebblingError(
+            f"order computes input {vertex!r}, which has no parents"
+        )
+    times = np.bincount(seq, minlength=index.n)
+    repeated = times[seq] > 1
+    if repeated.any():
+        vertex = nodes[seq[np.argmax(repeated)]]
+        raise PebblingError(f"order computes {vertex!r} more than once")
+    missing = np.nonzero((times == 0) & (index.in_deg > 0))[0]
+    if len(missing):
+        raise PebblingError(
+            f"order never computes {nodes[missing[0]]!r}; it must cover "
+            "every computed vertex exactly once"
+        )
+    rank = np.full(index.n, -1, dtype=np.int64)
+    rank[seq] = np.arange(len(seq), dtype=np.int64)
+    src, dst = index.edges()
+    early = rank[dst] <= rank[src]  # inputs rank -1: never early
+    if early.any():
+        bad = np.nonzero(early)[0]
+        first = bad[np.argmin(rank[dst[bad]])]
+        raise PebblingError(
+            f"order is not topological: {nodes[dst[first]]!r} is computed "
+            f"before its parent {nodes[src[first]]!r}"
+        )
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.cdag.cache import cached_cdag
+from repro.cdag.index import graph_index
 from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
 from repro.schedule import shared_streams
@@ -323,10 +324,8 @@ def _plan_kernel(
         )
         return plan
     plan.n_vertices = cdag.n_vertices
-    max_indegree = max(
-        (cdag.graph.in_degree(v) for v in cdag.graph.nodes), default=0
-    )
     baseline = stream_from_graph(cdag.graph)
+    max_indegree = int(graph_index(cdag.graph).in_deg.max(initial=0))
     audited: set[int] = set()
     for s_requested in s_values:
         s = max(int(s_requested), max_indegree + 2)

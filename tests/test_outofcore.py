@@ -35,6 +35,11 @@ from repro.schedule.stream import (
     single_statement_stream,
     stream_from_graph,
 )
+from tests.test_graph_index import (
+    assert_streams_equal,
+    oracle_stream_from_graph,
+    oracle_tiled_order,
+)
 from tests.test_schedule_sim import reference_next_use
 
 #: (kernel, params, tile_sizes, variable_order) -- single-statement kernels
@@ -65,13 +70,23 @@ def _build(case, **kwargs):
 
 
 def graph_reference(program, params, tiles=None, order=None):
-    """The same blocked order streamed from the materialized CDAG."""
+    """The same blocked order streamed from the materialized CDAG.
+
+    The graph builder is itself checked against the per-vertex oracles
+    (:mod:`tests.test_graph_index`), so the IR builder is never pinned only
+    to the code it shares ``_first_appearance_ids`` with.
+    """
     cdag = build_cdag(program, params)
     variables = list(order or program.statements[0].iteration_vars)
-    return stream_from_graph(
+    stream = stream_from_graph(
         cdag.graph,
         tiled_order(cdag.graph, cdag.point_of, tiles or {}, variables),
     )
+    assert_streams_equal(stream, oracle_stream_from_graph(
+        cdag.graph,
+        oracle_tiled_order(cdag.graph, cdag.point_of, tiles or {}, variables),
+    ))
+    return stream
 
 
 def _reference(case):
