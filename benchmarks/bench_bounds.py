@@ -17,9 +17,9 @@ Acceptance: the full bounds pass costs at most ``BOUNDS_OVERHEAD_MAX``
 times the solver baseline (the certification layer must stay a cheap
 rider, not a second analysis), and every measured kernel certifies a
 finite bound at every swept S.  Per-engine CPU totals are recorded so a
-regression names the engine that caused it; note the engines share
-per-graph structural caches, so the first engine on a graph pays the
-one-time DP/spectra cost.
+regression names the engine that caused it; the ``io-floor`` engine reads
+the graph's cached integer index, so its first evaluation on a graph pays
+the one-time index build.
 
 Run:  PYTHONPATH=src python benchmarks/bench_bounds.py [--subset]
 """
@@ -38,7 +38,7 @@ from _harness import finish, make_parser, maybe_traced, timed  # noqa: E402
 #: most this multiple of the solver-only analysis CPU
 BOUNDS_OVERHEAD_MAX = 2.0
 
-#: fast subset: one tight kernel, one where a graph engine wins, one LU
+#: fast subset: one tight kernel, one where the io-floor wins, one LU
 SUBSET_KERNELS = ["gemm", "cholesky", "ludcmp"]
 
 
@@ -54,7 +54,7 @@ def bench_bounds(names: list[str]) -> dict:
     )
 
     # warm-up: one tiny kernel exercises every code path (sympy imports,
-    # engine registration, numpy spectra) before anything is timed
+    # engine registration, the graph index) before anything is timed
     warm = analyze_many(["gemm"])[0]
     evaluate_bounds(
         s=8, graph=cached_cdag("gemm", _merged_params(

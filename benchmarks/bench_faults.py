@@ -49,8 +49,7 @@ SITES = (
     "engine.claimed",
     "solver.solve",
     "bounds.engine.kkt",
-    "bounds.engine.spectral",
-    "bounds.engine.visit",
+    "bounds.engine.io-floor",
 )
 
 OVERHEAD_CEILING = 0.03  #: disabled hooks may cost at most 3% of a workload

@@ -5,10 +5,11 @@ Independent lower-bound backends on the materialized
 
 * ``kkt`` -- the existing symbolic (paper problem 8) bound, evaluated at
   concrete (params, S);
-* ``spectral`` -- Jain--Zaharia eigenvalue bound on level bands of the
-  graph Laplacian (store-once model);
-* ``visit`` -- Bilardi-style DAG-visit bound via the post-order boundary
-  argument on Hong--Kung segments (full pebbling model).
+* ``io-floor`` -- the cold input/output floor of the concrete CDAG
+  (every live input loaded once, every computed sink stored once).
+
+An engine stays registered only while it is the strict max on some row
+of the committed TIGHTNESS.md (checked by ``tests/test_bounds.py``).
 
 Engines register through :mod:`repro.bounds.registry` (mirroring
 ``opt/backends``); :mod:`repro.bounds.combine` evaluates every applicable
@@ -31,8 +32,8 @@ from repro.bounds.registry import (
     register_bound_engine,
 )
 
-# registration by import, in tie-break order: kkt wins ties, then spectral
-from repro.bounds import kkt, spectral, visit  # noqa: E402,F401
+# registration by import, in tie-break order: kkt wins ties
+from repro.bounds import kkt, structure  # noqa: E402,F401
 
 __all__ = [
     "BoundEngine",

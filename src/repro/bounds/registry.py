@@ -6,15 +6,10 @@ Mirrors :mod:`repro.opt.backends`: every engine consumes the same
 :class:`BoundResult`.  Engines register themselves via
 :func:`register_bound_engine`; resolve one with :func:`get_bound_engine`.
 
-Two capability flags keep engines honest about their reach:
-
-* ``requires`` -- ``"graph"`` engines need the materialized CDAG,
-  ``"symbolic"`` engines need the closed-form bound expression (the KKT
-  engine; it is skipped on raw graphs, e.g. in the differential test);
-* ``max_vertices`` -- graph-size ceiling for the engine's *structural*
-  term.  Above it the engine degrades to the recomputation-safe cold
-  input/output floor instead of silently burning CPU on a 10^5-vertex
-  eigenproblem; the degradation is recorded in the result notes.
+The ``requires`` flag keeps engines honest about their reach:
+``"graph"`` engines need the materialized CDAG, ``"symbolic"`` engines
+need the closed-form bound expression (the KKT engine; it is skipped on
+raw graphs, e.g. in the differential test).
 
 Every evaluation increments ``bound_engine_evals_total{engine=...}`` on the
 current :class:`~repro.obs.metrics.MetricsRegistry` (the job registry under
@@ -37,9 +32,9 @@ from repro.obs import span as obs_span
 REQUIRES_GRAPH = "graph"
 REQUIRES_SYMBOLIC = "symbolic"
 
-#: cost models an engine's value is certified against
-MODEL_PEBBLING = "pebbling"  #: red-blue game, recomputation allowed
-MODEL_STORE_ONCE = "store-once"  #: every vertex computed exactly once
+#: cost model an engine's value is certified against: the red-blue game,
+#: recomputation allowed
+MODEL_PEBBLING = "pebbling"
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,6 @@ class BoundEngine:
     name: str = ""
     #: ``"graph"`` or ``"symbolic"`` (see module docstring)
     requires: str = REQUIRES_GRAPH
-    #: structural-term ceiling; ``None`` means size-independent
-    max_vertices: int | None = None
     #: cost model the value is certified against
     model: str = MODEL_PEBBLING
 
@@ -178,4 +171,4 @@ def get_bound_engine(name: str) -> BoundEngine:
 
 def _load_builtin() -> None:
     """Import the built-in engines for their registration side effect."""
-    from repro.bounds import kkt, spectral, visit  # noqa: F401
+    from repro.bounds import kkt, structure  # noqa: F401

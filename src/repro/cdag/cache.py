@@ -2,7 +2,8 @@
 
 Materializing a CDAG is the single most expensive per-point step of a
 tightness sweep, and the bound engines need the *same* graph object the
-sweep replays (the engines cache structural facts per graph identity).
+sweep replays (the integer index behind the floor and the streams is
+cached per graph identity).
 This small LRU gives both consumers one shared instance per
 (kernel, sorted-params) signature instead of one rebuild per caller.
 

@@ -1,12 +1,11 @@
 """One integer index per CDAG graph: CSR adjacency, degrees, topological order.
 
-Blocked orders, program order, graph streams and the bound engines' graph
-facts all need the same skeleton of a ``networkx.DiGraph``.  Walking the
-graph one vertex at a time for each of them is what used to dominate a
+Blocked orders, program order, graph streams and the input/output floor
+all need the same skeleton of a ``networkx.DiGraph``.  Walking the graph
+one vertex at a time for each of them is what used to dominate a
 tightness sweep, so :func:`graph_index` builds the skeleton once per graph
 object as flat numpy arrays and caches it in a
-:class:`weakref.WeakKeyDictionary` keyed by the graph (the same way
-:func:`repro.bounds.structure.graph_facts` is cached).
+:class:`weakref.WeakKeyDictionary` keyed by the graph.
 
 Vertex ``i`` is ``nodes[i]``, the ``i``-th vertex of ``graph.nodes``.
 Predecessor and successor lists keep networkx adjacency order, so
@@ -15,8 +14,7 @@ see exactly the order a ``graph.predecessors`` walk gives.  ``topo`` is
 exactly ``nx.topological_sort``'s order: networkx emits the DAG generation
 by generation, and within a generation a child becomes ready when its last
 parent is processed, i.e. in order of its *last* occurrence in the
-generation's concatenated successor lists.  The generation number is the
-longest-path level (sources at 0).
+generation's concatenated successor lists.
 
 No vertex -> int dict is kept: it would cost more memory than the arrays.
 Callers that must map vertex labels build one on the fly.
@@ -48,8 +46,6 @@ class GraphIndex:
     out_deg: np.ndarray
     #: ``nx.topological_sort`` order; shorter than ``nodes`` on a cycle
     topo: np.ndarray
-    #: generation (= longest-path level) per vertex; -1 on or behind a cycle
-    level: np.ndarray
 
     @property
     def n(self) -> int:
@@ -137,12 +133,9 @@ def _build_index(graph: nx.DiGraph) -> GraphIndex:
     out_deg = np.diff(succ_ptr)
 
     remaining = in_deg.copy()
-    level = np.full(n, -1, dtype=np.int64)
     generations = []
     generation = np.nonzero(in_deg == 0)[0]
-    depth = 0
     while len(generation):
-        level[generation] = depth
         generations.append(generation)
         children = succ_idx[segment_gather(succ_ptr, generation)]
         # unique children with their last occurrence and multiplicity
@@ -154,7 +147,6 @@ def _build_index(graph: nx.DiGraph) -> GraphIndex:
         ready = remaining[uniq] == 0
         last = len(children) - 1 - first_in_reverse[ready]
         generation = uniq[ready][np.argsort(last)]
-        depth += 1
     topo = (
         np.concatenate(generations) if generations
         else np.zeros(0, dtype=np.int64)
@@ -168,5 +160,4 @@ def _build_index(graph: nx.DiGraph) -> GraphIndex:
         in_deg=in_deg,
         out_deg=out_deg,
         topo=topo,
-        level=level,
     )

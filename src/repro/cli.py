@@ -9,7 +9,7 @@ Usage examples::
     soap-analyze table2 --jobs 4 --json            # parallel, machine-readable
     soap-analyze validate gemm --params N=4 --S 8  # pebbling sandwich check
     soap-analyze bounds cholesky                   # per-engine lower bounds
-    soap-analyze bounds gemm --engines kkt,visit   # engine subset
+    soap-analyze bounds gemm --engines kkt,io-floor # engine subset
     soap-analyze tightness gemm atax --s 8,18      # schedule-replay gap audit
     soap-analyze tightness --markdown TIGHTNESS.md # full corpus, written out
     soap-analyze tightness --bounds-engines kkt    # KKT-only gap denominator

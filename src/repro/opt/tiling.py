@@ -15,6 +15,7 @@ from typing import Mapping
 import sympy as sp
 
 from repro.opt.rho import IntensityResult
+from repro.symbolic import memo
 from repro.symbolic.symbols import S_SYM, X_SYM
 
 
@@ -33,7 +34,7 @@ def tiles_at_x0(result: IntensityResult) -> dict[str, sp.Expr]:
     if result.x0 is sp.oo:
         return dict(solution.tiles)
     return {
-        var: sp.simplify(sp.powsimp(expr.subs(X_SYM, result.x0), force=True))
+        var: memo.simplify(sp.powsimp(expr.subs(X_SYM, result.x0), force=True))
         for var, expr in solution.tiles.items()
     }
 

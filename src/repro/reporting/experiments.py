@@ -22,8 +22,8 @@ derived tilings replayed through the streaming I/O simulator, with the
 measured gap per kernel — lives in `TIGHTNESS.md` (regenerate with
 `python -m repro tightness --markdown TIGHTNESS.md`).  On concrete
 instances each symbolic bound is also cross-checked against the
-independent concrete-CDAG bound engines (`repro bounds <kernel>`: the
-spectral eigenvalue bound and the DAG-visit bound, `src/repro/bounds/`);
+concrete CDAG's cold input/output floor (`repro bounds <kernel>`: the
+`io-floor` engine, `src/repro/bounds/`);
 TIGHTNESS.md gaps are measured against the certified max over all
 engines, and `table2 --bounds` records the winning engine and the
 engine disagreement per kernel.

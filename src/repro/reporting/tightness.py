@@ -19,9 +19,10 @@ This report replays exactly that derived tiling through the streaming I/O
 simulator (`repro.schedule`) on concrete instances and compares the
 measured (certified) I/O against the certified lower bound — the max over
 every registered bound engine (`repro.bounds`): the evaluated `kkt` bound
-(the paper's problem 8), the `spectral` eigenvalue bound, and the `visit`
-DAG-visit bound, the latter two computed on the concrete CDAG.  The
-**best** column marks the engine attaining the certified max on each row:
+(the paper's problem 8) and the `io-floor` engine, the cold input/output
+floor of the concrete CDAG (every live input loaded once, every computed
+sink stored once).  The **best** column marks the engine attaining the
+certified max on each row; `kkt` wins exact ties:
 
     gap = simulated I/O of the derived blocked schedule / certified bound
 

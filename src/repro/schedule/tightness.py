@@ -5,7 +5,7 @@ tiling that should attain it.  This module closes the sandwich empirically:
 derive the blocked schedule, replay its access stream through the streaming
 I/O simulator, and compare against the certified lower bound -- the max
 over every registered bound engine (:mod:`repro.bounds`: the evaluated
-KKT bound plus the spectral and DAG-visit engines on the concrete CDAG):
+KKT bound and the concrete CDAG's cold input/output floor):
 
     gap  =  simulated I/O (certified upper bound)  /  certified lower bound
 

@@ -480,6 +480,7 @@ class AnalysisService:
         """
         import json as _json
 
+        from repro.bounds import available_bound_engines, get_bound_engine
         from repro.cdag.cache import cdag_signature
         from repro.kernels import get_kernel
 
@@ -493,10 +494,11 @@ class AnalysisService:
             ) from None
         if sweep is not None and not sweep:
             raise ValueError("'s_values' must name at least one memory size")
-        wanted = None
-        if engines is not None:
-            from repro.bounds import get_bound_engine
-
+        if engines is None:
+            # name the registered engines in the identity, so a persisted
+            # report computed under another engine set is never served
+            wanted = list(available_bound_engines())
+        else:
             wanted = [str(e) for e in engines]
             if not wanted:
                 raise ValueError("'engines' must name at least one bound engine")

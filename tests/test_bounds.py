@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import networkx as nx
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.bounds import (
@@ -14,7 +16,7 @@ from repro.bounds import (
     kernel_bounds,
 )
 from repro.bounds.registry import BoundProblem
-from repro.bounds.structure import graph_facts, io_floor
+from repro.bounds.structure import io_floor
 from repro.cdag.cache import cached_cdag, cdag_signature, clear_cdag_cache
 from repro.cli import main
 from repro.pebbling.optimal import optimal_pebbling_cost
@@ -43,23 +45,13 @@ class TestStructure:
         g.add_node("lonely")  # in=0, out=0: neither loaded nor stored
         assert io_floor(g) == 2
 
-    def test_graph_facts_shape(self):
-        facts = graph_facts(diamond())
-        assert facts.n_vertices == 4
-        assert facts.floor == 2
-        assert len(facts.computed) == 3
-        assert facts.n_levels == 2  # computed levels: middle pair, sink
-        # facts are cached per graph object
-        g = diamond()
-        assert graph_facts(g) is graph_facts(g)
-
 
 class TestRegistry:
     def test_builtin_engines_in_registration_order(self):
-        assert list(available_bound_engines()) == ["kkt", "spectral", "visit"]
+        assert list(available_bound_engines()) == ["kkt", "io-floor"]
 
     def test_unknown_engine_names_the_alternatives(self):
-        with pytest.raises(KeyError, match="available: kkt, spectral, visit"):
+        with pytest.raises(KeyError, match="available: kkt, io-floor"):
             get_bound_engine("bogus")
 
     def test_engine_failure_is_a_result_not_an_exception(self):
@@ -74,28 +66,35 @@ class TestRegistry:
     def test_applicability_gating(self):
         graph_only = BoundProblem(s=8, graph=diamond())
         assert not get_bound_engine("kkt").applicable(graph_only)
-        assert get_bound_engine("visit").applicable(graph_only)
-        assert get_bound_engine("spectral").applicable(graph_only)
+        assert get_bound_engine("io-floor").applicable(graph_only)
 
 
 class TestCombine:
     def test_graph_only_skips_kkt(self):
         combined = evaluate_bounds(s=4, graph=diamond())
-        assert set(combined.engine_values()) == {"spectral", "visit"}
+        assert set(combined.engine_values()) == {"io-floor"}
 
     def test_certified_is_the_max_and_ties_go_to_registration_order(self):
-        combined = evaluate_bounds(s=4, graph=diamond())
+        # a symbolic bound equal to the floor: both engines certify 2, so
+        # the earlier-registered kkt engine keeps the win
+        combined = evaluate_bounds(
+            s=4, graph=diamond(), symbolic_bound=sp.Integer(2)
+        )
         values = combined.engine_values()
         assert combined.certified == max(values.values())
-        # on a 4-vertex graph both engines sit on the same floor, so the
-        # earlier-registered spectral engine keeps the win
-        assert values["spectral"] == values["visit"]
-        assert combined.winning_engine == "spectral"
+        assert values == {"kkt": 2.0, "io-floor": 2.0}
+        assert combined.winning_engine == "kkt"
+        # a strictly larger later engine claims the win
+        combined = evaluate_bounds(
+            s=4, graph=diamond(), symbolic_bound=sp.Integer(1)
+        )
+        assert combined.certified == 2.0
+        assert combined.winning_engine == "io-floor"
 
     def test_engine_selection(self):
-        combined = evaluate_bounds(s=4, graph=diamond(), engines=["visit"])
-        assert list(combined.engine_values()) == ["visit"]
-        assert combined.winning_engine == "visit"
+        combined = evaluate_bounds(s=4, graph=diamond(), engines=["io-floor"])
+        assert list(combined.engine_values()) == ["io-floor"]
+        assert combined.winning_engine == "io-floor"
 
     def test_as_dict_shape(self):
         payload = evaluate_bounds(s=4, graph=diamond()).as_dict()
@@ -107,12 +106,20 @@ class TestCombine:
             assert {"engine", "value", "model", "notes"} <= set(entry)
 
 
-class TestVisitEngine:
-    def test_never_below_floor(self):
+class TestIoFloorEngine:
+    def test_value_is_the_floor(self):
         g = chain(6)
-        result = get_bound_engine("visit").evaluate(BoundProblem(s=3, graph=g))
+        result = get_bound_engine("io-floor").evaluate(BoundProblem(s=3, graph=g))
         assert result.ok
-        assert result.value >= io_floor(g)
+        assert result.value == io_floor(g) == 2
+        assert result.model == "pebbling"
+
+    def test_cycle_is_a_typed_failure(self):
+        result = get_bound_engine("io-floor").evaluate(
+            BoundProblem(s=3, graph=nx.DiGraph([(0, 1), (1, 2), (2, 1)]))
+        )
+        assert not result.ok
+        assert result.error_class == "NetworkXUnfeasible"
 
     def test_sound_against_exact_pebbling_on_a_grid(self):
         g = nx.DiGraph()
@@ -123,30 +130,10 @@ class TestVisitEngine:
                 if j + 1 < 3:
                     g.add_edge((i, j), (i, j + 1))
         for s in (3, 4, 6):
-            value = get_bound_engine("visit").evaluate(
+            value = get_bound_engine("io-floor").evaluate(
                 BoundProblem(s=s, graph=g)
             ).value
             assert value <= optimal_pebbling_cost(g, s)
-
-
-class TestSpectralEngine:
-    def test_small_graphs_fall_back_to_the_floor(self):
-        g = diamond()
-        result = get_bound_engine("spectral").evaluate(
-            BoundProblem(s=4, graph=g)
-        )
-        assert result.ok
-        assert result.value == io_floor(g)
-        assert any("floor" in note for note in result.notes)
-
-    def test_large_graph_is_finite_and_at_least_the_floor(self):
-        cdag = cached_cdag("cholesky", {"N": 8})
-        result = get_bound_engine("spectral").evaluate(
-            BoundProblem(s=8, graph=cdag.graph)
-        )
-        assert result.ok
-        assert math.isfinite(result.value)
-        assert result.value >= io_floor(cdag.graph)
 
 
 class TestKernelBounds:
@@ -231,13 +218,58 @@ class TestDifferentialSoundness:
                 )
 
 
+TIGHTNESS_MD = Path(__file__).resolve().parent.parent / "TIGHTNESS.md"
+
+
+def tightness_md_engine_values() -> list[tuple[str, dict[str, float]]]:
+    """``(kernel, {engine: value})`` per audited row of the committed
+    TIGHTNESS.md, for every engine column."""
+    engines = set(available_bound_engines())
+    rows, head = [], None
+    for line in TIGHTNESS_MD.read_text().splitlines():
+        if not line.startswith("|") or line.startswith("|---"):
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] == "Kernel":
+            head = cells
+            continue
+        row = dict(zip(head, cells))
+        values = {
+            name: float(value) for name, value in row.items()
+            if name in engines and value != "-"
+        }
+        rows.append((row["Kernel"], values))
+    assert head is not None, "TIGHTNESS.md has no table"
+    assert engines <= set(head), f"engine columns missing: {head}"
+    return rows
+
+
+class TestEngineAttribution:
+    """Every registered engine must earn its place: on at least one row of
+    the committed audit it certifies strictly more than every other engine.
+    CI checks TIGHTNESS.md against a fresh full run, so reading the file
+    here keeps this guard cheap."""
+
+    def test_every_engine_is_the_strict_max_somewhere(self):
+        strict_wins = {name: [] for name in available_bound_engines()}
+        for kernel, values in tightness_md_engine_values():
+            for name, value in values.items():
+                others = [v for other, v in values.items() if other != name]
+                if others and value > max(others):
+                    strict_wins[name].append(kernel)
+        never = [name for name, kernels in strict_wins.items() if not kernels]
+        assert not never, f"engines never the strict max: {never}"
+        assert "gemm" in strict_wins["kkt"]
+        assert "atax" in strict_wins["io-floor"]
+
+
 class TestTightnessIntegration:
     def test_rows_carry_engine_bounds_and_winner(self):
         from repro.schedule.tightness import audit_kernel
 
         (row,) = audit_kernel("gemm", s_values=(18,))
         assert row.ok
-        assert set(row.engine_bounds) == {"kkt", "spectral", "visit"}
+        assert set(row.engine_bounds) == {"kkt", "io-floor"}
         assert row.winning_engine in row.engine_bounds
         finite = [v for v in row.engine_bounds.values() if math.isfinite(v)]
         assert row.bound_value == max(finite)
@@ -263,7 +295,7 @@ class TestCli:
         assert payload["report"] == "bounds"
         point = payload["points"][0]
         engines = {entry["engine"] for entry in point["engines"]}
-        assert engines == {"kkt", "spectral", "visit"}
+        assert engines == {"kkt", "io-floor"}
 
     def test_bounds_text_marks_the_winner(self, capsys):
         assert main(["bounds", "gemm", "--s", "8"]) == 0
@@ -320,3 +352,19 @@ class TestService:
             with pytest.raises(ServiceError) as err:
                 client.bounds("no-such-kernel")
             assert err.value.status == 404
+
+    def test_default_identity_names_the_registered_engines(self):
+        """An omitted engine list resolves to the registered engines, so a
+        report persisted under another engine set is never served for it."""
+        from repro.service.core import AnalysisService, ServiceConfig
+
+        service = AnalysisService(ServiceConfig(workers=1))  # workers not started
+        default = service.submit_bounds("gemm", s_values=[8])
+        identity = json.loads(default.descriptor["identity"])
+        assert identity[2] == list(available_bound_engines())
+        assert default.descriptor["engines"] == list(available_bound_engines())
+        # naming the registered engines explicitly is the same request
+        explicit = service.submit_bounds(
+            "gemm", s_values=[8], engines=list(available_bound_engines())
+        )
+        assert explicit is default

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.bounds import available_bound_engines
 from repro.engine import SolveOutcome
 from repro.engine.store import SharedSolveStore
 from repro.faults.chaos import run_chaos, strip_volatile
@@ -188,7 +189,7 @@ def _baseline_bounds():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    engine=st.sampled_from(["spectral", "kkt", "visit"]),
+    engine=st.sampled_from(available_bound_engines()),
     occurrence=st.integers(min_value=1, max_value=3),
     error=st.sampled_from(["runtime", "memory", "value", "solver"]),
 )

@@ -337,23 +337,27 @@ class TestDegradedBounds:
         with faults.plan_scope(faults.builtin_plan("engine-fail")):
             degraded = kernel_bounds("atax", s_values=[8])
         assert degraded.degraded
-        assert "spectral" in degraded.failed_engines
+        assert degraded.failed_engines == ("io-floor",)
         payload = degraded.as_dict()
         assert payload["degraded"] is True
         assert payload["failed_engines"] == list(degraded.failed_engines)
-        spectral_rows = [
+        floor_rows = [
             row
             for point in payload["points"]
             for row in point["engines"]
-            if row["engine"] == "spectral"
+            if row["engine"] == "io-floor"
         ]
-        assert spectral_rows and all(
-            row["error_class"] == "FaultInjected" for row in spectral_rows
+        assert floor_rows and all(
+            row["error_class"] == "FaultInjected" for row in floor_rows
         )
         # degraded is weaker-or-equal, never wrong: the certified max from
-        # the survivors cannot exceed the fault-free certified max
+        # the survivors cannot exceed the fault-free certified max.  At
+        # atax S=8 the floor (80) is the max, so losing it is visible: the
+        # survivor kkt certifies 64
         for base_pt, deg_pt in zip(baseline.points, degraded.points):
             assert deg_pt.certified <= base_pt.certified
+        assert [p.certified for p in baseline.points] == [80.0]
+        assert [p.certified for p in degraded.points] == [64.0]
 
 
 class TestClientRetryPolicy:

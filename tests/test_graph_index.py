@@ -1,7 +1,7 @@
 """The integer CDAG index and its consumers against per-vertex oracles.
 
 :func:`repro.cdag.index.graph_index` replaced networkx walks in program
-order, blocked orders, graph streams and the bound engines' graph facts.
+order, blocked orders, graph streams and the input/output floor.
 Each consumer must give *exactly* what the walk gave, so the walks are
 kept here as test-local oracles:
 
@@ -10,7 +10,7 @@ kept here as test-local oracles:
   then a heap Kahn pass preferring the blocked sequence;
 * ``oracle_stream_from_graph`` -- the per-vertex stream builder numbering
   ids with :func:`repro.pebbling.greedy.stream_vertex_ids`;
-* ``oracle_build_facts`` -- the per-vertex ``GraphFacts`` derivation.
+* ``oracle_io_floor`` -- the per-vertex degree count of the floor.
 
 They are compared on hypothesis DAGs with shuffled node and edge
 insertion order, on random topological orders and random points/tiles
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bounds.structure import GraphFacts, _build_facts
+from repro.bounds.structure import io_floor
 from repro.cdag.index import graph_index
 from repro.obs import MetricsRegistry, Tracer
 from repro.pebbling.greedy import (
@@ -116,41 +116,16 @@ def oracle_stream_from_graph(graph, order=None):
     )
 
 
-def oracle_build_facts(graph):
-    nodes = list(nx.topological_sort(graph))
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    preds = tuple(
-        tuple(sorted(index[p] for p in graph.predecessors(node)))
-        for node in nodes
+def oracle_io_floor(graph):
+    live_inputs = sum(
+        1 for v in graph.nodes
+        if graph.in_degree(v) == 0 and graph.out_degree(v) > 0
     )
-    succs = tuple(
-        tuple(sorted(index[s] for s in graph.successors(node)))
-        for node in nodes
+    computed_sinks = sum(
+        1 for v in graph.nodes
+        if graph.in_degree(v) > 0 and graph.out_degree(v) == 0
     )
-    in_deg = tuple(len(p) for p in preds)
-    out_deg = tuple(len(s) for s in succs)
-    floor = sum(1 for i in range(n) if in_deg[i] == 0 and out_deg[i] > 0)
-    floor += sum(1 for i in range(n) if in_deg[i] > 0 and out_deg[i] == 0)
-    level = [0] * n
-    for i in range(n):
-        if preds[i]:
-            level[i] = 1 + max(level[p] for p in preds[i])
-    computed = tuple(i for i in range(n) if in_deg[i] > 0)
-    return GraphFacts(
-        n_vertices=n,
-        topo=tuple(range(n)),
-        preds=preds,
-        succs=succs,
-        in_deg=in_deg,
-        out_deg=out_deg,
-        max_in_degree=max(in_deg, default=0),
-        max_out_degree=max(out_deg, default=0),
-        floor=floor,
-        computed=computed,
-        level=tuple(level),
-        n_levels=len({level[i] for i in computed}),
-    )
+    return live_inputs + computed_sinks
 
 
 def assert_streams_equal(actual, expected):
@@ -217,10 +192,13 @@ class TestIndexAgainstNetworkx:
         index = graph_index(graph)
         nodes = index.nodes
         assert nodes == list(graph.nodes)
-        assert [nodes[i] for i in index.topo] == list(nx.topological_sort(graph))
-        for depth, generation in enumerate(nx.topological_generations(graph)):
-            for vertex in generation:
-                assert index.level[nodes.index(vertex)] == depth
+        topo = [nodes[i] for i in index.topo]
+        assert topo == list(nx.topological_sort(graph))
+        # topo runs level by level: longest-path generations, sources first
+        start = 0
+        for generation in nx.topological_generations(graph):
+            assert set(topo[start:start + len(generation)]) == set(generation)
+            start += len(generation)
         for i, vertex in enumerate(nodes):
             preds = index.pred_idx[index.pred_ptr[i]:index.pred_ptr[i + 1]]
             succs = index.succ_idx[index.succ_ptr[i]:index.succ_ptr[i + 1]]
@@ -234,7 +212,7 @@ class TestIndexAgainstNetworkx:
     def test_default_order_and_facts(self, case):
         graph, _ = case
         assert default_order(graph) == oracle_default_order(graph)
-        assert _build_facts(graph) == oracle_build_facts(graph)
+        assert io_floor(graph) == oracle_io_floor(graph)
 
     @given(case=shuffled_dags())
     @settings(max_examples=150, deadline=None)
@@ -368,7 +346,7 @@ def test_corpus_orders_streams_and_facts_match_oracles(name):
     graph = cdag.graph
     assert default_order(graph) == oracle_default_order(graph)
     assert_streams_equal(stream_from_graph(graph), oracle_stream_from_graph(graph))
-    assert _build_facts(graph) == oracle_build_facts(graph)
+    assert io_floor(graph) == oracle_io_floor(graph)
 
     bound = analyze_kernel(name).program_bound
     max_in = max(d for _, d in graph.in_degree())
