@@ -43,11 +43,11 @@ def main() -> None:
         result.bound.subs({sp.Symbol("N", positive=True): n, S_SYM: s})
     )
     cdag = build_cdag(program, params)
-    order = blocked_order(cdag, schedule)
+    order = blocked_order(cdag, schedule)  # vertex ids of cdag.index
 
-    blocked = simulate_io(stream_from_graph(cdag.graph, order), s)
-    rowmajor = simulate_io(stream_from_graph(cdag.graph), s)
-    certified = greedy_pebbling_cost(cdag.graph, s, order)
+    blocked = simulate_io(stream_from_graph(cdag.index, order), s)
+    rowmajor = simulate_io(stream_from_graph(cdag.index), s)
+    certified = greedy_pebbling_cost(cdag.graph, s, cdag.index.labels(order))
     assert certified == blocked.cost, "simulator diverged from the pebble game!"
 
     print(f"lower bound (evaluated)        : {bound_value:8.1f}")

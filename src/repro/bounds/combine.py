@@ -224,7 +224,7 @@ def kernel_bounds(
     points = tuple(
         evaluate_bounds(
             s=s,
-            graph=cdag.graph,
+            graph=cdag.index,
             symbolic_bound=result.bound,
             params=merged,
             kernel=name,

@@ -7,9 +7,9 @@ Mirrors :mod:`repro.opt.backends`: every engine consumes the same
 :func:`register_bound_engine`; resolve one with :func:`get_bound_engine`.
 
 The ``requires`` flag keeps engines honest about their reach:
-``"graph"`` engines need the materialized CDAG, ``"symbolic"`` engines
-need the closed-form bound expression (the KKT engine; it is skipped on
-raw graphs, e.g. in the differential test).
+``"graph"`` engines need the concrete CDAG (a graph or its index),
+``"symbolic"`` engines need the closed-form bound expression (the KKT
+engine; it is skipped on raw graphs, e.g. in the differential test).
 
 Every evaluation increments ``bound_engine_evals_total{engine=...}`` on the
 current :class:`~repro.obs.metrics.MetricsRegistry` (the job registry under
@@ -42,7 +42,9 @@ class BoundProblem:
     """One concrete bound evaluation: a CDAG instance at fast-memory ``S``."""
 
     s: int
-    graph: object = None  #: ``networkx.DiGraph`` (None: symbolic-only call)
+    #: ``networkx.DiGraph`` or its :class:`~repro.cdag.index.GraphIndex`
+    #: (None: symbolic-only call)
+    graph: object = None
     symbolic_bound: object = None  #: sympy expression of the KKT bound
     params: Mapping[str, int] = field(default_factory=dict)
     kernel: str | None = None

@@ -13,9 +13,9 @@ once.  It also never exceeds the replay simulator's cost on
 vertices and store exactly at out-degree-0 vertices.
 
 The floor is read off the degree arrays of the graph's integer index
-(:func:`repro.cdag.index.graph_index`), which is cached per graph and
-shared with the schedule builders, so evaluating it at every S costs no
-graph walk.
+(:func:`repro.cdag.index.graph_index`), which the CDAG builder emits and
+the schedule builders share, so evaluating it at every S costs no graph
+walk.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from repro.bounds.registry import (
     BoundProblem,
     register_bound_engine,
 )
-from repro.cdag.index import graph_index
+from repro.cdag.index import GraphIndex, graph_index
 
 
-def io_floor(graph: nx.DiGraph) -> int:
-    """Cold input/output floor of ``graph`` (see module docstring)."""
+def io_floor(graph: nx.DiGraph | GraphIndex) -> int:
+    """Cold input/output floor of ``graph`` or of an index (see module
+    docstring)."""
     index = graph_index(graph)
     index.require_dag()
     live_inputs = (index.in_deg == 0) & (index.out_deg > 0)

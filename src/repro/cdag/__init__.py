@@ -5,10 +5,12 @@ derived *parametric* bounds can be validated against the ground truth on
 small instances:
 
 * :mod:`repro.cdag.build`     -- materialize the CDAG of an IR program for
-  concrete parameter values (paper Figure 2's explicit graph);
-* :mod:`repro.cdag.index`     -- the cached integer index of a graph (CSR
-  adjacency, degrees, topological order, levels) that schedules, streams
-  and bound engines read instead of walking networkx;
+  concrete parameter values (paper Figure 2's explicit graph) as array
+  passes straight into its integer index; the ``networkx`` graph is built
+  on demand;
+* :mod:`repro.cdag.index`     -- the integer index of a CDAG (CSR
+  adjacency, degrees, topological order) that schedules, streams and
+  bound engines read instead of walking networkx;
 * :mod:`repro.cdag.dominator` -- minimum dominator sets via max-flow
   (vertex-split min vertex cut) and minimum sets ``Min(H)``;
 * :mod:`repro.cdag.counting`  -- brute-force access-set/union counting used

@@ -1,9 +1,7 @@
 """Memoized ConcreteCDAG construction keyed by (kernel, params).
 
-Materializing a CDAG is the single most expensive per-point step of a
-tightness sweep, and the bound engines need the *same* graph object the
-sweep replays (the integer index behind the floor and the streams is
-cached per graph identity).
+Materializing a CDAG is the largest per-kernel step of a tightness sweep,
+and the bound engines read the *same* integer index the sweep replays.
 This small LRU gives both consumers one shared instance per
 (kernel, sorted-params) signature instead of one rebuild per caller.
 

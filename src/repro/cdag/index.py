@@ -1,11 +1,13 @@
-"""One integer index per CDAG graph: CSR adjacency, degrees, topological order.
+"""One integer index per CDAG: CSR adjacency, degrees, topological order.
 
 Blocked orders, program order, graph streams and the input/output floor
-all need the same skeleton of a ``networkx.DiGraph``.  Walking the graph
-one vertex at a time for each of them is what used to dominate a
-tightness sweep, so :func:`graph_index` builds the skeleton once per graph
-object as flat numpy arrays and caches it in a
-:class:`weakref.WeakKeyDictionary` keyed by the graph.
+all need the same skeleton of a DAG as flat numpy arrays.  The CDAG
+builder (:mod:`repro.cdag.build`) emits it directly through
+:func:`index_from_csr`; for any other ``networkx.DiGraph``,
+:func:`graph_index` builds it once per graph object and caches it in a
+:class:`weakref.WeakKeyDictionary` keyed by the graph.  Consumers take a
+graph or an index alike: ``graph_index(index)`` is ``index``, and the
+graph :func:`graph_of_index` materializes is indexed as that index.
 
 Vertex ``i`` is ``nodes[i]``, the ``i``-th vertex of ``graph.nodes``.
 Predecessor and successor lists keep networkx adjacency order, so
@@ -68,6 +70,10 @@ class GraphIndex:
         self.require_dag()
         return self.topo[self.in_deg[self.topo] > 0]
 
+    def labels(self, ids: np.ndarray) -> list:
+        """The vertex labels of the ids ``ids``, in order."""
+        return list(map(self.nodes.__getitem__, ids.tolist()))
+
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` of every edge, in successor-list order."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_deg)
@@ -80,12 +86,15 @@ _INDEX: "weakref.WeakKeyDictionary[nx.DiGraph, GraphIndex]" = (
 _LOCK = threading.Lock()
 
 
-def graph_index(graph: nx.DiGraph) -> GraphIndex:
+def graph_index(graph: "nx.DiGraph | GraphIndex") -> GraphIndex:
     """The :class:`GraphIndex` of ``graph``, built once per graph object.
 
-    The index is never rebuilt: a graph must not change after it is first
+    An index passes through unchanged, so consumers accept either.  The
+    index is never rebuilt: a graph must not change after it is first
     indexed (CDAGs are built once and then only read).
     """
+    if isinstance(graph, GraphIndex):
+        return graph
     with _LOCK:
         index = _INDEX.get(graph)
     if index is not None:
@@ -121,14 +130,46 @@ def _csr(adjacency, nodes: list, position: dict) -> tuple[np.ndarray, np.ndarray
     return ptr, idx
 
 
+def graph_of_index(index: GraphIndex) -> nx.DiGraph:
+    """The ``networkx.DiGraph`` of ``index``, indexed as ``index`` itself.
+
+    Nodes are added in index order and edges child by child in
+    predecessor order, so the graph's predecessor lists are the index's;
+    its successor lists are too when every successor list is sorted by
+    vertex, as the CDAG builder's are (children are created in order).
+    """
+    graph = nx.DiGraph()
+    nodes = index.nodes
+    graph.add_nodes_from(nodes)
+    child = np.repeat(np.arange(index.n, dtype=np.int64), index.in_deg)
+    graph.add_edges_from(zip(
+        map(nodes.__getitem__, index.pred_idx.tolist()),
+        map(nodes.__getitem__, child.tolist()),
+    ))
+    with _LOCK:
+        _INDEX[graph] = index
+    return graph
+
+
 def _build_index(graph: nx.DiGraph) -> GraphIndex:
     nodes = list(graph)
-    n = len(nodes)
-    position = dict(zip(nodes, range(n)))
+    position = dict(zip(nodes, range(len(nodes))))
     # the adjacency dicts themselves: one C-level pass per direction
     pred_ptr, pred_idx = _csr(graph._pred, nodes, position)
     succ_ptr, succ_idx = _csr(graph._succ, nodes, position)
     del position
+    return index_from_csr(nodes, pred_ptr, pred_idx, succ_ptr, succ_idx)
+
+
+def index_from_csr(
+    nodes: list,
+    pred_ptr: np.ndarray,
+    pred_idx: np.ndarray,
+    succ_ptr: np.ndarray,
+    succ_idx: np.ndarray,
+) -> GraphIndex:
+    """A :class:`GraphIndex` from its adjacency: degrees and ``topo`` are
+    derived here, for graph walks and the CDAG builder alike."""
     in_deg = np.diff(pred_ptr)
     out_deg = np.diff(succ_ptr)
 

@@ -17,6 +17,7 @@ Usage examples::
     soap-analyze tightness gemm --trace t.jsonl    # record a span trace
     soap-analyze trace convert t.jsonl             # -> Perfetto-loadable JSON
     soap-analyze trace validate t.jsonl            # schema/stitching check
+    soap-analyze trace summarize t.jsonl --by engine  # self/total per span
 
     soap-analyze serve --port 8731 --workers 4     # long-lived analysis daemon
     soap-analyze submit gemm                       # analyze via the daemon
@@ -199,6 +200,15 @@ def main(argv: list[str] | None = None) -> int:
         "validate", help="check a JSONL trace for schema/stitching errors"
     )
     p_tval.add_argument("input", type=Path, help="JSONL trace (from --trace)")
+    p_tsum = trace_sub.add_parser(
+        "summarize", help="self and total wall time per span name"
+    )
+    p_tsum.add_argument("input", type=Path, help="JSONL trace (from --trace)")
+    p_tsum.add_argument(
+        "--by", default=None, metavar="ATTR",
+        help="split spans carrying attribute ATTR per value "
+        "(e.g. --by engine on bounds.engine)",
+    )
 
     p_serve = sub.add_parser("serve", help="run the analysis daemon")
     add_service_flags(p_serve)
@@ -605,7 +615,7 @@ def _cmd_tightness(args) -> int:
         print(
             f"\n{summary['audited']}/{summary['kernels']} audited: "
             f"{summary['attained']} attained, {summary['near']} near, "
-            f"{summary['loose']} loose"
+            f"{summary['loose']} loose, {summary['violated']} violated"
             + (f"; failed: {', '.join(summary['failed'])}" if summary["failed"] else "")
         )
     summary = report.summary()
@@ -622,7 +632,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import read_trace, span_tree, to_chrome_trace, validate_trace
+    from repro.obs import (
+        read_trace, span_tree, summarize_trace, to_chrome_trace, validate_trace,
+    )
 
     records = read_trace(str(args.input))
     errors = validate_trace(records)
@@ -643,6 +655,16 @@ def _cmd_trace(args) -> int:
             f"{args.input} is not a valid trace ({len(errors)} errors; "
             "run `trace validate` for details)"
         )
+    if args.trace_command == "summarize":
+        rows = summarize_trace(records, by=args.by)
+        width = max(len("span"), *(len(row["name"]) for row in rows))
+        print(f"{'span':{width}s} {'calls':>7s} {'total_s':>10s} {'self_s':>10s}")
+        for row in rows:
+            print(
+                f"{row['name']:{width}s} {row['calls']:>7d} "
+                f"{row['total_s']:>10.3f} {row['self_s']:>10.3f}"
+            )
+        return 0
     output = args.output
     if output is None:
         output = args.input.with_suffix(".perfetto.json")

@@ -5,7 +5,7 @@ counters/gauges/histograms and Prometheus exposition, and
 :mod:`repro.obs.export` for trace conversion/validation.
 """
 
-from .export import to_chrome_trace, validate_trace
+from .export import summarize_trace, to_chrome_trace, validate_trace
 from .metrics import MetricsRegistry, default_registry, percentile
 from .rss import children_peak_rss_bytes, peak_rss_bytes
 from .spans import (
@@ -43,6 +43,7 @@ __all__ = [
     "read_trace",
     "span",
     "span_tree",
+    "summarize_trace",
     "to_chrome_trace",
     "trace_context",
     "tracing",

@@ -11,6 +11,10 @@ counters, and attributes in ``args``.
 required fields with the right types, unique span ids, and -- the
 property the cross-process stitching exists for -- every non-null parent
 id resolvable to a span in the same trace (no orphans).
+
+``summarize_trace`` is the per-layer profile of a trace: calls, total and
+self wall time per span name (optionally split by one attribute, e.g. the
+``engine`` of ``bounds.engine`` spans).
 """
 
 from __future__ import annotations
@@ -113,3 +117,31 @@ def to_chrome_trace(records: list[dict]) -> dict:
             "args": args,
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def summarize_trace(records: list[dict], by: str | None = None) -> list[dict]:
+    """Calls, total and self wall seconds per span name, slowest self first.
+
+    A span's self time is its wall time minus that of its direct children
+    on the same thread: children in forked workers ran alongside it, not
+    inside its time.  With ``by``, spans carrying that attribute are split
+    per value (``"bounds.engine[engine=kkt]"``); others keep their name.
+    """
+    by_thread = {(rec["pid"], rec["tid"], rec["span"]): rec for rec in records}
+    self_wall = {id(rec): rec["wall"] for rec in records}
+    for rec in records:
+        parent = by_thread.get((rec["pid"], rec["tid"], rec.get("parent")))
+        if parent is not None:
+            self_wall[id(parent)] -= rec["wall"]
+    rows: dict[str, dict] = {}
+    for rec in records:
+        name = rec["name"]
+        if by is not None and by in rec["attrs"]:
+            name = f"{name}[{by}={rec['attrs'][by]}]"
+        row = rows.setdefault(
+            name, {"name": name, "calls": 0, "total_s": 0.0, "self_s": 0.0}
+        )
+        row["calls"] += 1
+        row["total_s"] += rec["wall"]
+        row["self_s"] += self_wall[id(rec)]
+    return sorted(rows.values(), key=lambda row: (-row["self_s"], row["name"]))

@@ -22,14 +22,12 @@ topological order, closing the loop of the paper's pipeline: derived tiling
 from __future__ import annotations
 
 import heapq
-import itertools
-import operator
 from typing import Callable, Hashable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
 
-from repro.cdag.index import graph_index
+from repro.cdag.index import GraphIndex, graph_index
 from repro.pebbling.game import Move, replay
 from repro.util.errors import PebblingError
 
@@ -40,8 +38,7 @@ NEVER = 1 << 60
 def default_order(graph: nx.DiGraph) -> list[Hashable]:
     """The schedule used when none is given: topological, inputs excluded."""
     index = graph_index(graph)
-    nodes = index.nodes
-    return [nodes[i] for i in index.computed_topo().tolist()]
+    return index.labels(index.computed_topo())
 
 
 def stream_vertex_ids(
@@ -216,8 +213,32 @@ def blocked_topological_order(
     nodes = index.nodes
     computed = np.nonzero(index.in_deg > 0)[0]
     vertices = list(map(nodes.__getitem__, computed.tolist()))
-    m = len(vertices)
     columns = _point_columns(list(map(point_of, vertices)), variable_order)
+    ranks = None
+    if statement_rank is not None:
+        ranks = np.fromiter(
+            map(statement_rank, vertices), dtype=np.int64, count=len(vertices)
+        )
+    order, repaired = blocked_ids(
+        index, columns, tile_sizes, variable_order, ranks=ranks
+    )
+    return index.labels(order), repaired
+
+
+def blocked_ids(
+    index: GraphIndex,
+    columns: Mapping[str, np.ndarray],
+    tile_sizes: Mapping[str, int],
+    variable_order: Sequence[str],
+    *,
+    ranks: np.ndarray | None = None,
+) -> tuple[np.ndarray, bool]:
+    """``(order, repaired)`` of :func:`blocked_topological_order` as vertex
+    ids.  ``columns`` maps a loop variable to its value at each computed
+    (in-degree > 0) vertex, in vertex order, and ``ranks`` gives each
+    computed vertex's statement rank; missing columns read 0."""
+    computed = np.nonzero(index.in_deg > 0)[0]
+    m = len(computed)
     tiles, intra = [], []
     for var in variable_order:
         column = columns.get(var)
@@ -225,12 +246,7 @@ def blocked_topological_order(
             continue  # an all-zero column never separates two vertices
         tiles.append(column // max(1, tile_sizes.get(var, 1)))
         intra.append(column)
-    ranks = []
-    if statement_rank is not None:
-        column = np.fromiter(map(statement_rank, vertices), dtype=np.int64, count=m)
-        if column.any():
-            ranks.append(column)
-    keys = tiles + ranks + intra
+    keys = tiles + ([ranks] if ranks is not None and ranks.any() else []) + intra
     # lexsort's last key is the primary one; it is stable, like sorted()
     preferred = computed[np.lexsort(keys[::-1])] if keys else computed
     rank = np.full(index.n, -1, dtype=np.int64)
@@ -242,7 +258,7 @@ def blocked_topological_order(
     repaired = not bool(np.all(src_rank < dst_rank))
     if repaired:
         preferred = preferred[_kahn_by_rank(m, src_rank, dst_rank)]
-    return list(map(nodes.__getitem__, preferred.tolist())), repaired
+    return preferred, repaired
 
 
 def _point_columns(
@@ -250,29 +266,15 @@ def _point_columns(
 ) -> dict[str, np.ndarray]:
     """One int column per variable of ``variables`` over ``points`` (0 where
     a point lacks the variable or is ``None``); all-zero columns are left
-    out.  Points sharing a key layout (one statement's variables) are
-    filled as one matrix."""
-    m = len(points)
-    layouts = [tuple(p) if p is not None else () for p in points]
-    code = {layout: c for c, layout in enumerate(dict.fromkeys(layouts))}
-    codes = np.fromiter(map(code.__getitem__, layouts), dtype=np.int64, count=m)
-    wanted = set(variables)
-    values_of = operator.methodcaller("values")
+    out."""
     columns: dict[str, np.ndarray] = {}
-    for layout, c in code.items():
-        picked = [(j, var) for j, var in enumerate(layout) if var in wanted]
-        if not picked:
-            continue
-        rows = np.nonzero(codes == c)[0]
-        group = map(points.__getitem__, rows.tolist())
-        matrix = np.fromiter(
-            itertools.chain.from_iterable(map(values_of, group)),
-            dtype=np.int64, count=len(rows) * len(layout),
-        ).reshape(len(rows), len(layout))
-        for j, var in picked:
-            if matrix[:, j].any():
-                column = columns.setdefault(var, np.zeros(m, dtype=np.int64))
-                column[rows] = matrix[:, j]
+    for var in variables:
+        column = np.fromiter(
+            ((point or {}).get(var, 0) for point in points),
+            dtype=np.int64, count=len(points),
+        )
+        if column.any():
+            columns[var] = column
     return columns
 
 

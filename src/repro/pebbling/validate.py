@@ -94,14 +94,14 @@ def validate_bound(
 
     cdag = build_cdag(program, params)
     greedy = greedy_pebbling_cost(cdag.graph, s)
-    replay = simulate_io(stream_from_graph(cdag.graph), s).cost
+    replay = simulate_io(stream_from_graph(cdag.index), s).cost
 
     schedule_cost: int | None = None
     if program_bound is not None:
         try:
             schedule = derive_schedule(program, program_bound, params, s)
             order = blocked_order(cdag, schedule)
-            schedule_cost = simulate_io(stream_from_graph(cdag.graph, order), s).cost
+            schedule_cost = simulate_io(stream_from_graph(cdag.index, order), s).cost
         except SoapError:
             schedule_cost = None
 

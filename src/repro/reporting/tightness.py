@@ -31,7 +31,10 @@ certified max on each row; `kkt` wins exact ties:
 * **near** — gap <= {NEAR_MAX}: same order, looser constant (tile rounding,
   cold misses, multi-statement interleaving);
 * **loose** — the derived schedule does not realize the bound on this
-  instance (or the bound's constant is conservative).
+  instance (or the bound's constant is conservative);
+* **violated** — gap < 1: the certified lower bound exceeds the I/O of a
+  legal replayed schedule, so the bound, or the concrete CDAG it is
+  evaluated on, is unsound for this instance.
 
 `prog-order` is the untiled program-order baseline under the same Belady
 eviction — the improvement of the derived schedule over it is the part of
@@ -117,7 +120,8 @@ def tightness_markdown(report: TightnessReport) -> str:
     parts.append(
         f"**Summary:** {summary['audited']}/{summary['kernels']} kernels "
         f"audited ({summary['attained']} attained, {summary['near']} near, "
-        f"{summary['loose']} loose at the best swept S); "
+        f"{summary['loose']} loose, {summary['violated']} violated at the "
+        "best swept S); "
         f"finite gaps: {summary['finite_gaps']}."
         + (
             f"  Failed: {', '.join(summary['failed'])}."

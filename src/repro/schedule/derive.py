@@ -6,7 +6,8 @@ for concrete parameters and fast-memory size: one integer tile size per loop
 variable, plus the loop order the concrete CDAG executes (shared variables
 outermost, mirroring :func:`repro.cdag.build.build_cdag`).  The mapping from
 CDAG vertices to iteration points is the generic one recorded at CDAG
-construction -- no per-kernel hand-coded ``point_of`` anywhere.
+construction -- no per-kernel hand-coded ``point_of`` anywhere -- and
+:func:`blocked_order` reads it as columns of vertex ids.
 
 Bandwidth-bound kernels (``alpha == 1``, ``X0 = oo``) have no finite optimal
 tiles: the analysis says a *streaming* schedule already attains the bound at
@@ -18,14 +19,16 @@ leading order.  ``derive_schedule`` degrades gracefully to exactly that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from repro.cdag.build import ConcreteCDAG, extent_values
 from repro.ir.program import Program
 from repro.obs import current_registry
 from repro.obs import span as obs_span
 from repro.opt.tiling import concrete_tiles_at_x0
-from repro.pebbling.greedy import blocked_topological_order, default_order
+from repro.pebbling.greedy import blocked_ids
 from repro.sdg.bounds import ProgramBound
 from repro.util import unique_in_order
 from repro.util.errors import SoapError
@@ -158,35 +161,41 @@ def derive_schedule(
     )
 
 
-def blocked_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> list[Hashable]:
-    """Blocked topological order of ``cdag`` under ``schedule``.
+def blocked_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> np.ndarray:
+    """Blocked topological order of ``cdag`` under ``schedule``, as vertex
+    ids of ``cdag.index`` (``cdag.index.labels(order)`` names them).
 
-    Uses the iteration points recorded on the CDAG (the generic vertex ->
-    point mapping) and ranks statements sharing a tile by program position
-    (:attr:`ConcreteCDAG.statement_positions`).  Returns the default
-    topological order for untiled schedules.  Records a ``schedule.order``
-    span and, for tiled schedules, counts
+    Reads the iteration-point columns recorded on the CDAG (the generic
+    vertex -> point mapping) and ranks statements sharing a tile by program
+    position (:attr:`ConcreteCDAG.statement_positions`).  Returns the
+    default topological order for untiled schedules.  Records a
+    ``schedule.order`` span and, for tiled schedules, counts
     ``schedule_order_repairs_total{repaired}``: whether the blocked sequence
     needed the Kahn repair.
     """
+    index = cdag.index
     with obs_span("schedule.order", tiled=schedule.tiled) as order_span:
         if not schedule.tiled:
-            order = default_order(cdag.graph)
+            order = index.computed_topo()
             order_span.note(vertices=len(order), repaired=False)
             return order
-        statement_pos = cdag.statement_positions
-        points = cdag.points
-
-        def rank(vertex: Hashable) -> int:
-            entry = points.get(vertex)
-            return statement_pos[entry[0]] if entry is not None else 0
-
-        order, repaired = blocked_topological_order(
-            cdag.graph,
-            cdag.point_of,
+        computed = np.nonzero(index.in_deg > 0)[0]
+        columns = {
+            var: cdag.coords[var][computed]
+            for var in schedule.variable_order
+            if var in cdag.coords
+        }
+        positions = cdag.statement_positions
+        statement_rank = np.array(
+            [positions.get(name, 0) for name in cdag.statements],
+            dtype=np.int64,
+        )
+        order, repaired = blocked_ids(
+            index,
+            columns,
             schedule.tile_sizes,
             schedule.variable_order,
-            statement_rank=rank,
+            ranks=statement_rank[cdag.statement_ids[computed]],
         )
         order_span.note(vertices=len(order), repaired=repaired)
         current_registry().inc(

@@ -201,11 +201,15 @@ class AccessStream:
 
 @obs_span("stream.build", builder="graph")
 def stream_from_graph(
-    graph: nx.DiGraph, order: Sequence[Hashable] | None = None
+    graph: nx.DiGraph | GraphIndex,
+    order: Sequence[Hashable] | np.ndarray | None = None,
 ) -> AccessStream:
     """Flatten a CDAG + topological order into an :class:`AccessStream`.
 
-    ``order`` defaults to :func:`repro.pebbling.greedy.default_order`.  An
+    ``graph`` is a ``networkx.DiGraph`` or its :class:`GraphIndex`.
+    ``order`` defaults to :func:`repro.pebbling.greedy.default_order`; it
+    lists vertex labels, or vertex ids of the index as an integer numpy
+    array (what :func:`repro.schedule.derive.blocked_order` returns).  An
     explicit order must list every computed (in-degree > 0) vertex exactly
     once, no input, and every vertex after its computed parents; anything
     else raises :class:`PebblingError` naming the offending vertex.
@@ -241,18 +245,29 @@ def stream_from_graph(
     )
 
 
-def _checked_order(index: GraphIndex, order: Sequence[Hashable]) -> np.ndarray:
+def _checked_order(
+    index: GraphIndex, order: Sequence[Hashable] | np.ndarray
+) -> np.ndarray:
     """Vertex ids of ``order``, rejecting any order that is not a legal
     schedule of the computed vertices."""
     nodes = index.nodes
-    position = dict(zip(nodes, range(index.n)))
-    try:
-        seq = np.fromiter(map(position.__getitem__, order), dtype=np.int64)
-    except KeyError as err:
-        raise PebblingError(
-            f"order names {err.args[0]!r}, which is not a vertex of the graph"
-        ) from None
-    del position
+    if isinstance(order, np.ndarray) and order.dtype.kind in "iu":
+        seq = order.astype(np.int64)
+        outside = (seq < 0) | (seq >= index.n)
+        if outside.any():
+            raise PebblingError(
+                f"order names id {int(seq[np.argmax(outside)])}, which is "
+                f"not a vertex of the graph ({index.n} vertices)"
+            )
+    else:
+        position = dict(zip(nodes, range(index.n)))
+        try:
+            seq = np.fromiter(map(position.__getitem__, order), dtype=np.int64)
+        except KeyError as err:
+            raise PebblingError(
+                f"order names {err.args[0]!r}, which is not a vertex of the graph"
+            ) from None
+        del position
     is_input = index.in_deg[seq] == 0
     if is_input.any():
         vertex = nodes[seq[np.argmax(is_input)]]

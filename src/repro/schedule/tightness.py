@@ -11,10 +11,12 @@ KKT bound and the concrete CDAG's cold input/output floor):
 
 A gap near 1 means the bound is tight *and* the constructive tiling is
 real; the per-kernel classification (``attained`` / ``near`` / ``loose``)
-summarizes it for the whole Table 2 corpus.  Small concrete instances carry
-constant-factor slop (leading-order truncation, cold misses, tile rounding),
-so the thresholds are deliberately generous; the trend with growing ``S``
-and problem size is the signal.
+summarizes it for the whole Table 2 corpus, and ``violated`` marks a gap
+below 1: a certified lower bound above the cost of a legal schedule.
+Small concrete instances carry constant-factor slop (leading-order
+truncation, cold misses, tile rounding), so the thresholds are
+deliberately generous; the trend with growing ``S`` and problem size is
+the signal.
 
 Every sweep goes through one per-kernel planner and one row builder.  The
 planner (:func:`_plan_kernel`) builds the kernel's CDAG once, clamps each
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.cdag.cache import cached_cdag
-from repro.cdag.index import graph_index
 from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
 from repro.schedule import shared_streams
@@ -96,7 +97,13 @@ PARAM_OVERRIDES: dict[str, dict[str, int]] = {
 
 
 def classify_gap(gap: float) -> str:
-    """Bucket a gap: ``attained`` / ``near`` / ``loose``."""
+    """Bucket a gap: ``violated`` / ``attained`` / ``near`` / ``loose``.
+
+    A gap below 1 is a soundness violation, not a tight bound: the
+    certified lower bound exceeds the replayed cost of a legal schedule.
+    """
+    if gap < 1.0:
+        return "violated"
     if gap <= ATTAINED_MAX:
         return "attained"
     if gap <= NEAR_MAX:
@@ -185,7 +192,7 @@ class TightnessReport:
 
     def summary(self) -> dict:
         ok = [r for r in self.rows if r.ok]
-        buckets: dict[str, int] = {"attained": 0, "near": 0, "loose": 0}
+        buckets = dict.fromkeys(("attained", "near", "loose", "violated"), 0)
         best: dict[str, TightnessRow] = {}
         for row in ok:
             current = best.get(row.kernel)
@@ -201,6 +208,7 @@ class TightnessReport:
             "attained": buckets["attained"],
             "near": buckets["near"],
             "loose": buckets["loose"],
+            "violated": buckets["violated"],
             "failed": sorted(set(failed)),
             "finite_gaps": all(
                 r.gap == r.gap and r.gap != float("inf") for r in ok
@@ -324,8 +332,9 @@ def _plan_kernel(
         )
         return plan
     plan.n_vertices = cdag.n_vertices
-    baseline = stream_from_graph(cdag.graph)
-    max_indegree = int(graph_index(cdag.graph).in_deg.max(initial=0))
+    index = cdag.index  # the audit reads the index; no networkx graph
+    baseline = stream_from_graph(index)
+    max_indegree = int(index.in_deg.max(initial=0))
     audited: set[int] = set()
     for s_requested in s_values:
         s = max(int(s_requested), max_indegree + 2)
@@ -337,7 +346,7 @@ def _plan_kernel(
             notes = (f"S clamped to {s} (max in-degree {max_indegree})",)
         try:
             engine_bounds, bound_value, winning_engine = _certified_bounds(
-                cdag.graph, name, params, s, bound, bounds_engines
+                index, name, params, s, bound, bounds_engines
             )
             schedule = derive_schedule(program, program_bound, params, s)
             stream_key = (
@@ -347,7 +356,7 @@ def _plan_kernel(
             )
             if stream_key not in plan.streams:
                 order = blocked_order(cdag, schedule)
-                plan.streams[stream_key] = stream_from_graph(cdag.graph, order)
+                plan.streams[stream_key] = stream_from_graph(index, order)
         except SoapError as err:
             plan.points.append(
                 _PlannedPoint(s=s, s_requested=int(s_requested), error=str(err))
@@ -409,11 +418,11 @@ def _kernel_rows(
         gap = schedule_cost / point.bound_value
         notes = point.notes
         if gap < 1.0:
-            # Legal: the leading-order bound need not bind on tiny instances
-            # (e.g. the whole working set fits in S, or the truncated
-            # lower-order terms dominate).  Flag it rather than hiding it.
+            # A lower bound above the cost of a schedule that runs: the
+            # bound or the CDAG it is evaluated on is unsound here.
             notes += (
-                "gap < 1: instance too small for the leading-order bound to bind",
+                "gap < 1: a certified lower bound exceeds the replayed cost "
+                "of a legal schedule",
             )
         rows.append(TightnessRow(
             kernel=name,

@@ -324,6 +324,28 @@ class TestStreamOrderChecks:
         with pytest.raises(PebblingError, match="'x'"):
             stream_from_graph(two_path_diamond(), ["b", "d", "x"])
 
+    def test_id_orders_get_the_same_checks(self):
+        graph = two_path_diamond()
+        index = graph_index(graph)
+        ids = {v: i for i, v in enumerate(index.nodes)}
+
+        def as_ids(labels):
+            return np.array([ids.get(v, 7) for v in labels], dtype=np.int64)
+
+        assert_streams_equal(
+            stream_from_graph(index, as_ids(["d", "b", "c"])),
+            stream_from_graph(graph, ["d", "b", "c"]),
+        )
+        for labels, message in (
+            (["a", "b", "d"], "input 'a'"),
+            (["b", "d", "d"], "'d' more than once"),
+            (["b", "d"], "never computes 'c'"),
+            (["b", "c", "d"], "'c' is computed before its parent 'd'"),
+            (["b", "d", "x"], "id 7, which is not a vertex"),
+        ):
+            with pytest.raises(PebblingError, match=message):
+                stream_from_graph(index, as_ids(labels))
+
 
 # ---------------------------------------------------------------------------
 # corpus subset at the tightness audit's parameters
@@ -355,7 +377,8 @@ def test_corpus_orders_streams_and_facts_match_oracles(name):
         statement_pos.setdefault(st_name, len(statement_pos))
     for s in DEFAULT_S_VALUES:
         schedule = derive_schedule(program, bound, params, max(s, max_in + 2))
-        order = blocked_order(cdag, schedule)
+        ids = blocked_order(cdag, schedule)
+        order = cdag.index.labels(ids)
         if schedule.tiled:
             expected = oracle_tiled_order(
                 graph, cdag.point_of, schedule.tile_sizes,
@@ -366,7 +389,7 @@ def test_corpus_orders_streams_and_facts_match_oracles(name):
             expected = oracle_default_order(graph)
         assert order == expected
         assert_streams_equal(
-            stream_from_graph(graph, order),
+            stream_from_graph(cdag.index, ids),
             oracle_stream_from_graph(graph, order),
         )
 

@@ -17,6 +17,7 @@ from repro.obs import (
     read_trace,
     span,
     span_tree,
+    summarize_trace,
     to_chrome_trace,
     trace_context,
     tracing,
@@ -380,6 +381,86 @@ class TestCli:
         batches = [r for r in records if r["name"] == "solver.solve-batch"]
         assert all(r["attrs"]["backend"] == "exact" for r in batches)
         assert sum(r["counters"]["solved"] for r in batches) >= 1
+
+
+def _record(name, span_id, wall, parent=None, pid=1, tid=1, **attrs):
+    return {
+        "name": name, "span": span_id, "parent": parent, "wall": wall,
+        "pid": pid, "tid": tid, "attrs": attrs,
+    }
+
+
+class TestSummarize:
+    def test_self_time_subtracts_same_thread_children_only(self):
+        records = [
+            _record("root", "r", 1.0),
+            _record("leaf", "a", 0.3, parent="r"),
+            # a forked worker's span ran alongside root, not inside it
+            _record("leaf", "b", 0.9, parent="r", pid=2),
+        ]
+        rows = {row["name"]: row for row in summarize_trace(records)}
+        assert rows["root"]["self_s"] == pytest.approx(0.7)
+        assert rows["root"]["total_s"] == pytest.approx(1.0)
+        assert rows["leaf"] == {
+            "name": "leaf", "calls": 2,
+            "total_s": pytest.approx(1.2), "self_s": pytest.approx(1.2),
+        }
+
+    def test_by_attribute_splits_only_spans_that_carry_it(self):
+        records = [
+            _record("bounds.engine", "k", 0.2, engine="kkt"),
+            _record("bounds.engine", "f", 0.1, engine="io-floor"),
+            _record("bounds.engine", "g", 0.4, engine="kkt"),
+            _record("cdag.build", "c", 0.5),
+        ]
+        rows = {row["name"]: row for row in summarize_trace(records, by="engine")}
+        assert set(rows) == {
+            "bounds.engine[engine=kkt]", "bounds.engine[engine=io-floor]",
+            "cdag.build",
+        }
+        assert rows["bounds.engine[engine=kkt]"]["calls"] == 2
+        assert rows["bounds.engine[engine=kkt]"]["self_s"] == pytest.approx(0.6)
+
+
+class TestSummarizeTightnessTrace:
+    """``trace summarize`` on a recorded ``repro tightness --trace`` run."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        from repro.cdag.cache import clear_cdag_cache
+        from repro.cli import main
+
+        clear_cdag_cache()  # both CDAGs are built inside the trace
+        path = tmp_path_factory.mktemp("trace") / "tightness.jsonl"
+        assert main([
+            "tightness", "gemm", "atax", "--s", "8", "--trace", str(path),
+        ]) == 0
+        return path
+
+    def test_layers_account_for_the_run(self, trace_path):
+        records = read_trace(str(trace_path))
+        rows = {row["name"]: row for row in summarize_trace(records)}
+        assert rows["cdag.build"]["calls"] == 2  # one CDAG per kernel
+        assert rows["bounds.engine"]["calls"] == 4  # kkt + io-floor per point
+        for row in rows.values():
+            assert row["self_s"] <= row["total_s"] + 1e-9
+        # one thread, one root: the self times partition the root's wall
+        (root,) = [r for r in records if r["parent"] is None]
+        assert sum(row["self_s"] for row in rows.values()) == pytest.approx(
+            root["wall"]
+        )
+
+    def test_cli_splits_engines(self, trace_path, capsys):
+        from repro.cli import main
+
+        assert main(["trace", "summarize", str(trace_path), "--by", "engine"]) == 0
+        out = capsys.readouterr().out
+        names = {line.split()[0] for line in out.splitlines()[1:]}
+        assert {
+            "cdag.build", "bounds.engine[engine=kkt]",
+            "bounds.engine[engine=io-floor]",
+        } <= names
+        assert "bounds.engine" not in names
 
 
 class TestRss:

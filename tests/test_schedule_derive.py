@@ -36,10 +36,6 @@ class TestRecordedPoints:
         assert cdag.point_of(cdag.inputs[0]) is None
         assert cdag.statement_of(cdag.inputs[0]) is None
 
-    def test_record_points_false_saves_the_mapping(self):
-        cdag = build_cdag(get_kernel("gemm").build(), {"N": 3}, record_points=False)
-        assert cdag.points == {}
-
     def test_generic_point_of_matches_vertex_structure(self):
         """The recorded point is the hand-coding it replaces: for gemm,
         vertex ('v', 'C', (i, j), k) -> {i, j, k}."""
@@ -71,7 +67,7 @@ class TestDeriveSchedule:
         params, s = {"N": 8}, 18
         schedule = derive_schedule(program, gemm_result.program_bound, params, s)
         cdag = build_cdag(program, params)
-        order = blocked_order(cdag, schedule)
+        order = cdag.index.labels(blocked_order(cdag, schedule))
         blocked_cost = greedy_pebbling_cost(cdag.graph, s, order)  # checks topo
         plain_cost = greedy_pebbling_cost(cdag.graph, s)
         assert blocked_cost < plain_cost
@@ -141,7 +137,7 @@ class TestBandwidthBoundPath:
         assert all(size == 1 for size in schedule.tile_sizes.values())
         assert any("bandwidth-bound" in note for note in schedule.notes)
         cdag = build_cdag(get_kernel("atax").build(), {"M": 4, "N": 4})
-        order = blocked_order(cdag, schedule)
+        order = cdag.index.labels(blocked_order(cdag, schedule))
         greedy_pebbling_cost(cdag.graph, 8, order)  # legal order
 
 

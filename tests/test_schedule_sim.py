@@ -22,6 +22,7 @@ from repro.pebbling.greedy import (
 from repro.schedule.simulator import _replay, simulate_io
 from repro.schedule.stream import single_statement_stream, stream_from_graph
 from repro.util.errors import PebblingError
+from tests.test_graph_index import assert_streams_equal
 
 
 def game_counts(graph, s, order=None, *, policy="belady"):
@@ -84,10 +85,12 @@ class TestEquivalenceWithPebbleGame:
         schedule = derive_schedule(program, result.program_bound, params, 18)
         order = blocked_order(cdag, schedule)
         stream = stream_from_graph(cdag.graph, order)
+        labels = cdag.index.labels(order)
+        assert_streams_equal(stream, stream_from_graph(cdag.graph, labels))
         for s in (8, 18):
             assert (
                 simulate_io(stream, s).cost
-                == greedy_pebbling_cost(cdag.graph, s, order)
+                == greedy_pebbling_cost(cdag.graph, s, labels)
             )
 
     def test_chain(self):

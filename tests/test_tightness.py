@@ -79,6 +79,10 @@ class TestClassification:
         assert classify_gap(5.0) == "near"
         assert classify_gap(50.0) == "loose"
 
+    def test_gap_below_one_is_a_violation(self):
+        assert classify_gap(0.28) == "violated"
+        assert classify_gap(0.999) == "violated"
+
 
 class TestParallelSweep:
     def test_parallel_rows_identical_to_serial(self, small_report):
